@@ -8,26 +8,17 @@
 // allreduce over the real model-scale flat gradient payload (parameter
 // count taken from a paper-dim TGNModel), swept over trainer counts.
 //
-// Each metric is reported for two implementations from the same binary:
+//   ring_us     ThreadComm::allreduce_mean — persistent staging,
+//               chunked reduce-scatter + allgather, two barriers.
+//   ring_opt_us the same collective plus the per-iteration optimizer
+//               tail the trainer pays after it (global grad-clip + Adam
+//               over the full payload).
 //
-//   legacy_*: the seed ThreadComm, replicated inline — per call the
-//             whole ranks×size staging area is zero-filled and
-//             reassigned (allocating), then EVERY rank redundantly
-//             reduces the ENTIRE payload (O(ranks·size) work per rank)
-//             behind three barriers.
-//   ring_*  : the rewritten layer — persistent staging sized once,
-//             chunked reduce-scatter (each rank reduces only its owned
-//             chunks) + allgather behind two barriers, O(size) per rank.
+// The seed collective's columns (legacy_*, speedup) and the fused
+// allreduce→step columns (fused_*) are frozen in BENCH_comm.json.
 //
-// The *_opt_us columns add the per-iteration optimizer tail the trainer
-// actually pays after the collective (global grad-clip + Adam over the
-// full payload), and fused_opt_us is the allreduce_step path where each
-// rank clips + steps only its owned chunks inside the collective and the
-// allgather distributes updated weights instead of mean gradients.
-//
-//   bench_comm_ops [--iters=N] [--ranks=R] (R: measure only that count)
+//   bench_comm_ops [--iters=N] [--ranks=R] [--elems=E]
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <memory>
@@ -49,46 +40,6 @@
 namespace disttgl {
 namespace {
 
-// ---- seed-path replication (the measured "before") ----
-//
-// Exact replica of the seed ThreadComm: one staging row per rank,
-// reassigned (zero-fill + possible allocation) by rank 0 every call,
-// every rank reducing the full payload, three barriers.
-class LegacyThreadComm {
- public:
-  explicit LegacyThreadComm(std::size_t ranks) : ranks_(ranks), barrier_(ranks) {
-    for (std::size_t r = 0; r < ranks; ++r) tokens_.emplace_back(barrier_);
-  }
-
-  void allreduce_mean(std::size_t rank, std::span<float> data) {
-    if (ranks_ == 1) return;
-    BarrierToken& token = tokens_[rank];
-    if (rank == 0) {
-      staged_.assign(ranks_ * data.size(), 0.0f);
-      stride_ = data.size();
-    }
-    (void)token.wait();
-    std::memcpy(staged_.data() + rank * stride_, data.data(),
-                data.size() * sizeof(float));
-    (void)token.wait();
-    const double inv = 1.0 / static_cast<double>(ranks_);
-    for (std::size_t i = 0; i < data.size(); ++i) {
-      double acc = 0.0;
-      for (std::size_t r = 0; r < ranks_; ++r)
-        acc += static_cast<double>(staged_[r * stride_ + i]);
-      data[i] = static_cast<float>(acc * inv);
-    }
-    (void)token.wait();
-  }
-
- private:
-  std::size_t ranks_;
-  SpinBarrier barrier_;
-  std::vector<BarrierToken> tokens_;
-  std::vector<float> staged_;
-  std::size_t stride_ = 0;
-};
-
 // Parameter count of the paper-scale model (§4.0.1 dims: mem 100,
 // attention 100, embedding 100) on a Wikipedia-like feature layout —
 // the real per-iteration allreduce payload.
@@ -106,9 +57,9 @@ std::size_t model_flat_elems() {
   return model.num_parameters();
 }
 
-// Per-rank state for the optimizer-tail variants: the flat payload as a
-// single Parameter (contiguous by construction, like a flat-frozen
-// model) plus its own Adam replica.
+// Per-rank state for the optimizer tail: the flat payload as a single
+// Parameter (contiguous by construction, like a flat-frozen model) plus
+// its own Adam replica.
 struct RankOpt {
   nn::Parameter param;
   nn::Adam opt;
@@ -116,22 +67,6 @@ struct RankOpt {
       : param("flat", 1, elems),
         opt({&param}, nn::AdamOptions{.lr = 1e-3f}) {}
 };
-
-struct FusedCtx {
-  nn::Adam* opt;
-  std::span<float> grads;
-  float max_norm;
-};
-
-void fused_chunk_step(void* ctx, std::size_t lo, std::size_t hi, double sq) {
-  auto* s = static_cast<FusedCtx*>(ctx);
-  const float norm = static_cast<float>(std::sqrt(sq));
-  if (norm > s->max_norm && norm > 0.0f) {
-    const float scale = s->max_norm / norm;
-    for (std::size_t i = lo; i < hi; ++i) s->grads[i] *= scale;
-  }
-  s->opt->step_range(lo, hi);
-}
 
 constexpr float kClip = 10.0f;
 
@@ -176,12 +111,6 @@ void run_ranks(std::size_t ranks, std::size_t elems, std::size_t iters) {
   std::vector<std::vector<float>> payload(ranks);
   fill_payloads(payload, elems);
 
-  // -- allreduce only: seed replica vs chunked reduce-scatter ring --
-  LegacyThreadComm legacy(ranks);
-  const double legacy_us = time_rounds(ranks, iters, [&](std::size_t r) {
-    legacy.allreduce_mean(r, payload[r]);
-  });
-
   dist::ThreadComm ring(ranks);
   ring.reserve(elems);
   const double ring_us = time_rounds(ranks, iters, [&](std::size_t r) {
@@ -192,51 +121,18 @@ void run_ranks(std::size_t ranks, std::size_t elems, std::size_t iters) {
   std::vector<std::unique_ptr<RankOpt>> opts;
   for (std::size_t r = 0; r < ranks; ++r)
     opts.push_back(std::make_unique<RankOpt>(elems));
-
-  LegacyThreadComm legacy2(ranks);
-  const double legacy_opt_us = time_rounds(ranks, iters, [&](std::size_t r) {
-    RankOpt& o = *opts[r];
-    std::memcpy(o.param.grad.data(), payload[r].data(),
-                elems * sizeof(float));
-    legacy2.allreduce_mean(
-        r, std::span<float>(o.param.grad.data(), elems));
-    nn::clip_grad_norm({&o.param}, kClip);
-    o.opt.step();
-  });
-
-  for (std::size_t r = 0; r < ranks; ++r) opts[r] = std::make_unique<RankOpt>(elems);
-  dist::ThreadComm ring2(ranks);
-  ring2.reserve(elems);
   const double ring_opt_us = time_rounds(ranks, iters, [&](std::size_t r) {
     RankOpt& o = *opts[r];
     std::memcpy(o.param.grad.data(), payload[r].data(),
                 elems * sizeof(float));
-    ring2.allreduce_mean(r, std::span<float>(o.param.grad.data(), elems));
+    ring.allreduce_mean(r, std::span<float>(o.param.grad.data(), elems));
     nn::clip_grad_norm({&o.param}, kClip);
     o.opt.step();
   });
 
-  for (std::size_t r = 0; r < ranks; ++r) opts[r] = std::make_unique<RankOpt>(elems);
-  dist::ThreadComm ring3(ranks);
-  ring3.reserve(elems);
-  const double fused_opt_us = time_rounds(ranks, iters, [&](std::size_t r) {
-    RankOpt& o = *opts[r];
-    std::memcpy(o.param.grad.data(), payload[r].data(),
-                elems * sizeof(float));
-    const std::span<float> grads(o.param.grad.data(), elems);
-    const std::span<float> values(o.param.value.data(), elems);
-    o.opt.begin_step();
-    FusedCtx ctx{&o.opt, grads, kClip};
-    ring3.allreduce_step(r, grads, values, &fused_chunk_step, &ctx);
-  });
-
-  std::printf(
-      "comm_ops ranks=%zu elems=%zu mb=%.2f legacy_us=%.1f ring_us=%.1f "
-      "speedup=%.2f legacy_opt_us=%.1f ring_opt_us=%.1f fused_opt_us=%.1f "
-      "fused_speedup=%.2f\n",
-      ranks, elems, elems * sizeof(float) / 1e6, legacy_us, ring_us,
-      legacy_us / ring_us, legacy_opt_us, ring_opt_us, fused_opt_us,
-      legacy_opt_us / fused_opt_us);
+  std::printf("comm_ops ranks=%zu elems=%zu mb=%.2f ring_us=%.1f "
+              "ring_opt_us=%.1f\n",
+              ranks, elems, elems * sizeof(float) / 1e6, ring_us, ring_opt_us);
   std::fflush(stdout);
 }
 
@@ -264,9 +160,7 @@ int main(int argc, char** argv) {
   bench::header(
       "comm_ops — gradient-sync cost per iteration at model payload size",
       "chunked reduce-scatter (O(size)/rank, 2 barriers, persistent "
-      "staging) beats the redundant full reduction (O(ranks*size)/rank, "
-      "3 barriers, zero-filled staging per call); fusing clip+Adam into "
-      "the owned-chunk window removes the redundant full-model step");
+      "staging), alone and with the clip+Adam tail an iteration pays");
   if (elems == 0) elems = model_flat_elems();
   std::printf("payload: %zu parameters (%.2f MB), iters=%zu\n", elems,
               elems * sizeof(float) / 1e6, iters);

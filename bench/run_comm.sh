@@ -8,9 +8,10 @@
 # binary = build/bench/bench_comm_ops. Extra args are passed through
 # (e.g. --iters=500 --elems=200000).
 #
-# The rank sweep {2,4,8} runs in one process: unlike the memory bench,
-# the legacy baseline's one allocation per call is size-stable across
-# configs, so heap-shape coloring between sweeps is not a factor.
+# The rank sweep {2,4,8} runs in one process. Entries written before
+# the seed collective and the fused allreduce→step path were retired
+# also carry legacy_us/speedup/legacy_opt_us/fused_opt_us/fused_speedup;
+# they stay in BENCH_comm.json as history.
 set -eu
 
 repo_root=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
@@ -42,22 +43,15 @@ with open(os.environ["RAW"]) as f:
     for line in f:
         m = re.match(
             r"comm_ops ranks=(\d+) elems=(\d+) mb=([\d.]+) "
-            r"legacy_us=([\d.]+) ring_us=([\d.]+) speedup=([\d.]+) "
-            r"legacy_opt_us=([\d.]+) ring_opt_us=([\d.]+) "
-            r"fused_opt_us=([\d.]+) fused_speedup=([\d.]+)", line)
+            r"ring_us=([\d.]+) ring_opt_us=([\d.]+)", line)
         if m:
             elems = int(m.group(2))
             results[f"ranks_{m.group(1)}"] = {
                 "ranks": int(m.group(1)),
                 "elems": elems,
                 "mb": float(m.group(3)),
-                "legacy_us": float(m.group(4)),
-                "ring_us": float(m.group(5)),
-                "speedup": float(m.group(6)),
-                "legacy_opt_us": float(m.group(7)),
-                "ring_opt_us": float(m.group(8)),
-                "fused_opt_us": float(m.group(9)),
-                "fused_speedup": float(m.group(10)),
+                "ring_us": float(m.group(4)),
+                "ring_opt_us": float(m.group(5)),
             }
 
 entry = {

@@ -2,9 +2,7 @@
 // simulated cluster with the §3.2.4 heuristics, run it on the real
 // threaded system (trainer threads, zero-copy memory daemons, pooled
 // prefetch pipeline, chunked reduce-scatter gradient sync), and compare
-// convergence/iterations against single-GPU. Set
-// cfg.comm_fused_step = true to fuse grad-clip + Adam into the
-// collective (docs/TUNING.md).
+// convergence/iterations against single-GPU.
 #include <cstdio>
 
 #include "core/planner.hpp"

@@ -643,7 +643,6 @@ std::uint64_t config_fingerprint(const TrainingConfig& cfg,
   w.put_u64(cfg.eval_negs);
   w.put_f64(cfg.train_frac);
   w.put_f64(cfg.val_frac);
-  w.put_u32(cfg.comm_fused_step ? 1 : 0);
   w.put_u64(cfg.comm_chunk_elems);
   w.put_u64(num_nodes);
   w.put_u64(num_events);

@@ -111,9 +111,8 @@ struct MemShard {
   std::vector<std::uint8_t> flags;                // has_mail per node
 };
 
-// Per-rank private state. Adam moments are per-rank by design on the
-// fused step path (each rank only steps its owned chunks), so each rank
-// snapshots its own. `has_slice` marks a rank caught mid version-chain:
+// Per-rank private state: each rank snapshots its own Adam moments.
+// `has_slice` marks a rank caught mid version-chain:
 // it had read memory for a super-batch and not yet finished training
 // all j versions, so the read slice must survive the restart.
 struct RankShard {

@@ -216,15 +216,8 @@ struct TrainingConfig {
   // Gradient-sync layer (ThreadedTrainer; docs/ARCHITECTURE.md "The
   // gradient-sync layer", docs/TUNING.md). comm_chunk_elems sets the
   // reduce-scatter chunk size (0 = one balanced chunk per rank); results
-  // are identical for every value. comm_fused_step fuses grad-clip + the
-  // Adam update into the reduce-scatter window (each rank steps only its
-  // owned chunks, the allgather distributes updated weights). The fused
-  // path is bit-identical to the default whenever clipping does not
-  // trigger; when it does, the global-norm summation order differs
-  // (chunk-ordered vs parameter-ordered), so the strict
-  // sequential≡threaded equivalence contract holds for the default path.
+  // are identical for every value.
   std::size_t comm_chunk_elems = 0;
-  bool comm_fused_step = false;
 
   // Transport fabric selection + knobs (docs/TUNING.md "Fabric").
   FabricConfig fabric;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <csignal>
 #include <span>
 #include <thread>
@@ -135,27 +134,6 @@ void ThreadedTrainer::restore_from_snapshot() {
   start_iteration_ = core.iteration;
 }
 
-// Fused allreduce→step chunk hook: global grad-clip scale from the
-// collective's deterministic norm, then Adam over the owned flat range.
-namespace {
-struct FusedStepCtx {
-  nn::Adam* opt;
-  std::span<float> grads;
-  float max_norm;
-};
-
-void fused_chunk_step(void* ctx, std::size_t lo, std::size_t hi,
-                      double mean_grad_sq_norm) {
-  auto* s = static_cast<FusedStepCtx*>(ctx);
-  const float norm = static_cast<float>(std::sqrt(mean_grad_sq_norm));
-  if (norm > s->max_norm && norm > 0.0f) {
-    const float scale = s->max_norm / norm;
-    for (std::size_t i = lo; i < hi; ++i) s->grads[i] *= scale;
-  }
-  s->opt->step_range(lo, hi);
-}
-}  // namespace
-
 std::pair<std::size_t, std::size_t> ThreadedTrainer::chunk_events(
     std::size_t global_batch, std::size_t chunk) const {
   const BatchRange& range = batches_[global_batch];
@@ -232,9 +210,6 @@ void ThreadedTrainer::run_rank(std::size_t rank, DaemonChannel& daemon,
   // replica's parameter-gradient buffer, so the allreduce reduces it in
   // place and there is nothing to flatten or unflatten per iteration.
   const std::span<float> grads = model.flat_grads();
-  const std::span<float> values = model.flat_values();
-  const bool fused = cfg_.comm_fused_step;
-  FusedStepCtx fused_ctx{&opt, grads, cfg_.grad_clip};
   double local_loss = 0.0;
   std::size_t local_count = 0;
   std::size_t local_events = 0;
@@ -398,16 +373,9 @@ void ThreadedTrainer::run_rank(std::size_t rank, DaemonChannel& daemon,
       daemon.write(ts.group_rank, write);
     }
 
-    if (fused) {
-      // One collective: reduce-scatter mean grads, clip + Adam on the
-      // owned chunks only, allgather updated weights.
-      opt.begin_step();
-      comm.allreduce_step(rank, grads, values, &fused_chunk_step, &fused_ctx);
-    } else {
-      comm.allreduce_mean(rank, grads);
-      nn::clip_grad_norm(params, cfg_.grad_clip);
-      opt.step();
-    }
+    comm.allreduce_mean(rank, grads);
+    nn::clip_grad_norm(params, cfg_.grad_clip);
+    opt.step();
 
     wait_seconds += iter_wait;
     compute_seconds += iter_compute;

@@ -4,11 +4,9 @@
 // (Algorithm 1), per-trainer prefetchers preparing super-batches ahead
 // of schedule, and a deterministic in-process chunked reduce-scatter
 // allreduce for gradient averaging, fed zero-copy from each replica's
-// flat parameter storage (cfg.comm_fused_step additionally folds
-// grad-clip + the Adam update into the collective's owned-chunk
-// window). Each trainer owns a full model replica and optimizer (the
-// data-parallel pattern); replicas start identical and stay identical
-// because the allreduce is bitwise deterministic.
+// flat parameter storage. Each trainer owns a full model replica and
+// optimizer (the data-parallel pattern); replicas start identical and
+// stay identical because the allreduce is bitwise deterministic.
 //
 // Batch generation runs through the pooled pipeline by default
 // (PipelineMode::kPooled): every prefetcher dispatches its construction

@@ -1,7 +1,6 @@
 #include "distributed/comm.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
 
 #include "distributed/fabric_error.hpp"
@@ -29,22 +28,59 @@ std::uint64_t Comm::ring_bytes(std::size_t size) const {
                                     sizeof(float) * ranks_);
 }
 
-void Comm::step_single_rank(std::span<float> grads, ChunkStepFn fn,
-                            void* ctx) const {
-  const std::size_t size = grads.size();
+void Comm::check_uniform_size(const Staging& s, std::size_t size) {
+  for (std::size_t r = 0; r < s.rows; ++r)
+    DT_CHECK_MSG(s.sizes[r] == size, "allreduce size mismatch: rank "
+                                         << s.row << " has " << size
+                                         << ", rank " << r << " has "
+                                         << s.sizes[r]);
+}
+
+void Comm::allreduce_mean(std::size_t rank, std::span<float> data) {
+  DT_CHECK_LT(rank, ranks_);
+  if (ranks_ == 1) return;
+  const std::size_t size = data.size();
+  const Staging s = stage(rank, size);
+
+  // Phase 1: deposit the contribution in this rank's fixed staging row.
+  s.sizes[s.row] = size;
+  if (size > 0)
+    std::memcpy(s.staged + s.row * s.stride, data.data(),
+                size * sizeof(float));
+  if (rank == 0) record(ring_bytes(size));
+  sync(rank);
+
+  // Phase 2: the means land in the shared result row.
+  reduce(rank, size, s);
+  sync(rank);
+
+  // Phase 3: allgather — copy the result row out. No closing barrier: a
+  // rank re-entering can only write its own staging row (not read
+  // here), and nobody can reach the next phase 2 (which overwrites the
+  // result row) until every rank has deposited — i.e. finished this
+  // copy.
+  if (size > 0)
+    std::memcpy(data.data(), s.result, size * sizeof(float));
+}
+
+// Reduce-scatter: this rank reduces only its owned chunks, each element
+// a left fold in double over the rows in fixed rank order
+// (deterministic), rounded once to float.
+void Comm::reduce(std::size_t rank, std::size_t size, const Staging& s) {
+  check_uniform_size(s, size);
   const std::size_t chunk = chunk_elems_for(size);
   const std::size_t num_chunks = num_chunks_for(size);
-  double sq = 0.0;
-  for (std::size_t c = 0; c < num_chunks; ++c) {
+  const double inv = 1.0 / static_cast<double>(ranks_);
+  for (std::size_t c = rank; c < num_chunks; c += ranks_) {
     const std::size_t lo = c * chunk;
     const std::size_t hi = std::min(lo + chunk, size);
-    double partial = 0.0;
-    for (std::size_t i = lo; i < hi; ++i)
-      partial += static_cast<double>(grads[i]) * grads[i];
-    sq += partial;
+    for (std::size_t i = lo; i < hi; ++i) {
+      double acc = 0.0;
+      for (std::size_t r = 0; r < s.rows; ++r)
+        acc += static_cast<double>(s.staged[r * s.stride + i]);
+      s.result[i] = static_cast<float>(acc * inv);
+    }
   }
-  for (std::size_t c = 0; c < num_chunks; ++c)
-    fn(ctx, c * chunk, std::min(c * chunk + chunk, size), sq);
 }
 
 ThreadComm::ThreadComm(std::size_t ranks) : ThreadComm(ranks, Options{}) {}
@@ -60,162 +96,30 @@ void ThreadComm::reserve(std::size_t max_elems) {
   if (max_elems <= max_elems_) return;
   staged_.assign(ranks_ * max_elems, 0.0f);
   result_.assign(max_elems, 0.0f);
-  norms_.assign(num_chunks_for(max_elems), 0.0);
   max_elems_ = max_elems;
 }
 
-void ThreadComm::sync(BarrierToken& token) {
-  if (!token.wait())
+void ThreadComm::sync(std::size_t rank) {
+  if (!tokens_[rank].wait())
     throw_fabric(FabricErrc::kAborted, "thread collective aborted by a peer");
 }
 
 // Payload sizes are identical across ranks by contract, so every rank
 // evaluates the same predicate here and either all enter the grow phase
 // or none do (max_elems_ only changes inside it, between barriers).
-void ThreadComm::grow_if_needed(std::size_t rank, std::size_t size,
-                                BarrierToken& token) {
-  if (size <= max_elems_) return;
-  sync(token);
-  if (rank == 0) reserve(size);
-  sync(token);
+Comm::Staging ThreadComm::stage(std::size_t rank, std::size_t size) {
+  if (size > max_elems_) {
+    sync(rank);
+    if (rank == 0) reserve(size);
+    sync(rank);
+  }
+  return {staged_.data(), max_elems_, result_.data(), sizes_.data(), ranks_,
+          rank};
 }
 
-void ThreadComm::check_uniform_size(std::size_t rank, std::size_t size) {
-  for (std::size_t r = 0; r < ranks_; ++r)
-    DT_CHECK_MSG(sizes_[r] == size, "allreduce size mismatch: rank "
-                                        << rank << " has " << size << ", rank "
-                                        << r << " has " << sizes_[r]);
-}
-
-void ThreadComm::account(std::size_t rank, std::size_t size) {
-  if (rank != 0) return;
+void ThreadComm::record(std::uint64_t bytes) {
   num_calls_.fetch_add(1, std::memory_order_relaxed);
-  logical_bytes_.fetch_add(ring_bytes(size), std::memory_order_relaxed);
-}
-
-void ThreadComm::allreduce_mean(std::size_t rank, std::span<float> data) {
-  DT_CHECK_LT(rank, ranks_);
-  if (ranks_ == 1) return;
-  BarrierToken& token = tokens_[rank];
-  const std::size_t size = data.size();
-  grow_if_needed(rank, size, token);
-
-  // Phase 1: deposit the contribution in this rank's fixed staging row.
-  sizes_[rank] = size;
-  if (size > 0)
-    std::memcpy(staged_.data() + rank * max_elems_, data.data(),
-                size * sizeof(float));
-  account(rank, size);
-  sync(token);
-
-  // Phase 2: reduce-scatter — this rank reduces only its owned chunks,
-  // each in fixed rank order (deterministic), into the shared result row
-  // and its own span.
-  check_uniform_size(rank, size);
-  const std::size_t chunk = chunk_elems_for(size);
-  const std::size_t num_chunks = num_chunks_for(size);
-  const double inv = 1.0 / static_cast<double>(ranks_);
-  for (std::size_t c = rank; c < num_chunks; c += ranks_) {
-    const std::size_t lo = c * chunk;
-    const std::size_t hi = std::min(lo + chunk, size);
-    for (std::size_t i = lo; i < hi; ++i) {
-      double acc = 0.0;
-      for (std::size_t r = 0; r < ranks_; ++r)
-        acc += static_cast<double>(staged_[r * max_elems_ + i]);
-      const float mean = static_cast<float>(acc * inv);
-      result_[i] = mean;
-      data[i] = mean;
-    }
-  }
-  sync(token);
-
-  // Phase 3: allgather — copy the chunks other ranks reduced. No closing
-  // barrier: a rank re-entering can only write its own staging row (not
-  // read here), and nobody can reach the next phase 2 (which overwrites
-  // result_) until every rank has deposited — i.e. finished this copy.
-  for (std::size_t c = 0; c < num_chunks; ++c) {
-    if (c % ranks_ == rank) continue;
-    const std::size_t lo = c * chunk;
-    const std::size_t hi = std::min(lo + chunk, size);
-    std::memcpy(data.data() + lo, result_.data() + lo,
-                (hi - lo) * sizeof(float));
-  }
-}
-
-void ThreadComm::allreduce_step(std::size_t rank, std::span<float> grads,
-                                std::span<float> params, ChunkStepFn fn,
-                                void* ctx) {
-  DT_CHECK_LT(rank, ranks_);
-  DT_CHECK_EQ(grads.size(), params.size());
-  const std::size_t size = grads.size();
-  const std::size_t chunk = chunk_elems_for(size);
-  const std::size_t num_chunks = num_chunks_for(size);
-
-  if (ranks_ == 1) {
-    step_single_rank(grads, fn, ctx);
-    return;
-  }
-
-  BarrierToken& token = tokens_[rank];
-  grow_if_needed(rank, size, token);
-  if (norms_.size() < num_chunks) {
-    // Only reachable with a shrinking chunk_elems option; sized here
-    // under the same all-ranks-agree reasoning as grow_if_needed.
-    sync(token);
-    if (rank == 0) norms_.resize(num_chunks, 0.0);
-    sync(token);
-  }
-
-  // Phase 1: deposit gradients.
-  sizes_[rank] = size;
-  if (size > 0)
-    std::memcpy(staged_.data() + rank * max_elems_, grads.data(),
-                size * sizeof(float));
-  account(rank, size);
-  sync(token);
-
-  // Phase 2: reduce-scatter the mean gradient into this rank's own
-  // grads span (owned chunks only) and record per-chunk partial norms.
-  check_uniform_size(rank, size);
-  const double inv = 1.0 / static_cast<double>(ranks_);
-  for (std::size_t c = rank; c < num_chunks; c += ranks_) {
-    const std::size_t lo = c * chunk;
-    const std::size_t hi = std::min(lo + chunk, size);
-    double partial = 0.0;
-    for (std::size_t i = lo; i < hi; ++i) {
-      double acc = 0.0;
-      for (std::size_t r = 0; r < ranks_; ++r)
-        acc += static_cast<double>(staged_[r * max_elems_ + i]);
-      const float mean = static_cast<float>(acc * inv);
-      grads[i] = mean;
-      partial += static_cast<double>(mean) * mean;
-    }
-    norms_[c] = partial;
-  }
-  sync(token);
-
-  // Phase 3: global norm (chunk-order sum — deterministic), then step
-  // the owned chunks and publish the updated parameters.
-  double sq = 0.0;
-  for (std::size_t c = 0; c < num_chunks; ++c) sq += norms_[c];
-  for (std::size_t c = rank; c < num_chunks; c += ranks_) {
-    const std::size_t lo = c * chunk;
-    const std::size_t hi = std::min(lo + chunk, size);
-    fn(ctx, lo, hi, sq);
-    std::memcpy(result_.data() + lo, params.data() + lo,
-                (hi - lo) * sizeof(float));
-  }
-  sync(token);
-
-  // Phase 4: allgather updated parameters (same re-entry argument as
-  // allreduce_mean's phase 3).
-  for (std::size_t c = 0; c < num_chunks; ++c) {
-    if (c % ranks_ == rank) continue;
-    const std::size_t lo = c * chunk;
-    const std::size_t hi = std::min(lo + chunk, size);
-    std::memcpy(params.data() + lo, result_.data() + lo,
-                (hi - lo) * sizeof(float));
-  }
+  logical_bytes_.fetch_add(bytes, std::memory_order_relaxed);
 }
 
 }  // namespace disttgl::dist

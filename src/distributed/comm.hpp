@@ -1,30 +1,29 @@
 // Chunked, allocation-free collective for trainers — the seam between
-// the in-process (thread) and multi-process (shm) transport fabrics.
+// the in-process (thread), multi-process (shm) and multi-machine (TCP)
+// transport fabrics.
 //
 // Plays the role NCCL plays in the paper: synchronous gradient averaging
 // across trainers. The payload is partitioned into fixed-size chunks,
 // each owned by one rank; an allreduce is a reduce-scatter (each rank
 // reduces only the chunks it owns, in fixed rank order, so results are
 // bitwise deterministic regardless of thread/process count or arrival
-// order) followed by an allgather from a shared result buffer. Per-rank
+// order) followed by an allgather from a shared result row. Per-rank
 // work is O(size), staging is persistent and sized once (reserve()), so
 // steady-state calls never touch the allocator, and logical traffic is
 // accounted per the ring algorithm so Table 1's "synchronization across
 // trainers" row can be measured rather than asserted.
 //
-// allreduce_step() is the optional fused allreduce→optimizer form: after
-// the reduce-scatter each rank steps *its owned chunks* of the model
-// (callback, typically grad-clip + Adam::step_range), and the allgather
-// then distributes updated parameters instead of mean gradients — one
-// collective, no redundant full-model optimizer work per rank.
-//
-// The abstract Comm carries everything transport-independent (chunk
-// partition, ring accounting, the single-rank degenerate step) so
-// ThreadComm (threads + SpinBarrier over process-local vectors) and
-// ProcComm (processes + futex barrier over a POSIX shm segment) are the
-// *same algorithm* over different memory — which is what makes the
-// cross-fabric equivalence grid in tests/test_equivalence.cpp a
-// bit-identical comparison rather than a tolerance test.
+// The algorithm is written once, here, in Comm::allreduce_mean. A
+// transport supplies only memory and a barrier: stage() hands the engine
+// a Staging view (one contribution row per rank at a fixed stride, the
+// shared result row, the per-rank size words), sync() is the barrier,
+// record() bumps the traffic counters. ThreadComm backs the view with
+// process-local vectors and a SpinBarrier, ProcComm with a POSIX shm
+// segment and a futex barrier, and HierComm stacks on a ProcComm and
+// replaces the reduce step with its cross-host leader fold. Running the
+// same code over different memory is what makes the cross-fabric
+// equivalence grid in tests/test_equivalence.cpp a bit-identical
+// comparison rather than a tolerance test.
 #pragma once
 
 #include <atomic>
@@ -36,15 +35,6 @@
 #include "util/wait.hpp"
 
 namespace disttgl::dist {
-
-// Per-chunk hook for the fused path: consume the mean gradients in
-// [lo, hi) and update the parameters there. `mean_grad_sq_norm` is the
-// global squared L2 norm of the mean gradient (deterministic chunk-order
-// summation), for global grad-clipping. Plain function pointer + context
-// so the per-iteration hot path never type-erases through a heap
-// allocation.
-using ChunkStepFn = void (*)(void* ctx, std::size_t lo, std::size_t hi,
-                             double mean_grad_sq_norm);
 
 class Comm {
  public:
@@ -61,6 +51,7 @@ class Comm {
   virtual ~Comm() = default;
 
   std::size_t ranks() const { return ranks_; }
+  const Options& options() const { return opts_; }
 
   // Pre-sizes the persistent staging buffers for payloads up to
   // `max_elems`. Call once before the trainers start. ThreadComm can
@@ -72,21 +63,7 @@ class Comm {
 
   // Replace `data` on every rank with the elementwise mean across ranks.
   // All ranks must call with equally-sized spans. Blocking.
-  virtual void allreduce_mean(std::size_t rank, std::span<float> data) = 0;
-
-  // Fused allreduce→optimizer step. All ranks contribute `grads` and
-  // hold identical `params`; the two spans must be the same length on
-  // every rank (one flat element per parameter, as in
-  // Module::flat_grads/flat_values). Sequence: reduce-scatter the mean
-  // gradient into each owner's grads[lo, hi) → share per-chunk partial
-  // norms → fn(ctx, lo, hi, global_sq_norm) for every owned chunk (the
-  // callback steps params[lo, hi) from grads[lo, hi)) → allgather
-  // params. Every rank leaves with identical updated params; grads
-  // content outside a rank's owned chunks is its stale local
-  // contribution.
-  virtual void allreduce_step(std::size_t rank, std::span<float> grads,
-                              std::span<float> params, ChunkStepFn fn,
-                              void* ctx) = 0;
+  void allreduce_mean(std::size_t rank, std::span<float> data);
 
   // Logical bytes a ring allreduce would have moved so far (all calls).
   virtual std::uint64_t logical_bytes() const = 0;
@@ -100,28 +77,48 @@ class Comm {
   virtual bool aborted() const = 0;
 
   // Full-group synchronization point, used by the checkpoint protocol.
-  // A size-0 allreduce: both fabrics handle empty payloads (the memcpys
-  // are guarded and the chunk loops are no-ops), so this reuses the
-  // existing deadline/abort machinery instead of adding a second
-  // barrier implementation per transport.
+  // A size-0 allreduce: the memcpys are guarded and the chunk loops are
+  // no-ops, so this reuses every transport's deadline/abort machinery
+  // instead of adding a second barrier implementation per transport.
   void barrier(std::size_t rank) { allreduce_mean(rank, {}); }
 
   // Chunk partition of a payload of `size` elements.
   std::size_t chunk_elems_for(std::size_t size) const;
   std::size_t num_chunks_for(std::size_t size) const;
 
+  // The memory a transport lends the engine for one call. Row r of the
+  // `rows` ranks sharing it starts at staged + r * stride.
+  struct Staging {
+    float* staged = nullptr;
+    std::size_t stride = 0;
+    float* result = nullptr;          // shared result row (the means)
+    std::uint64_t* sizes = nullptr;   // per-row payload size (contract check)
+    std::size_t rows = 0;
+    std::size_t row = 0;              // the calling rank's row
+  };
+
  protected:
   Comm(std::size_t ranks, Options opts);
+
+  // ---- transport hooks ----
+  // Makes room for a `size`-element payload (grow, or a typed kCapacity
+  // error) and returns the staging view for `rank`.
+  virtual Staging stage(std::size_t rank, std::size_t size) = 0;
+  // Barrier across the rows. Throws the transport's typed FabricError
+  // (kAborted, kPeerTimeout) instead of returning when the group fails.
+  virtual void sync(std::size_t rank) = 0;
+  // Counts one call moving `bytes` of logical ring traffic.
+  virtual void record(std::uint64_t bytes) = 0;
+  // Between the two barriers: fill s.result[0, size) with the means.
+  // The default is the reduce-scatter — `rank` folds the chunks it owns.
+  virtual void reduce(std::size_t rank, std::size_t size, const Staging& s);
+
+  // Every row deposited a payload of `size` elements.
+  static void check_uniform_size(const Staging& s, std::size_t size);
 
   // Ring allreduce volume for one call: each rank sends 2(r−1)/r of the
   // payload.
   std::uint64_t ring_bytes(std::size_t size) const;
-
-  // The ranks == 1 degenerate fused step: grads are already the mean;
-  // keep the same chunk-ordered norm summation as the multi-rank path so
-  // the norm (and any clipping decision) is rank-count independent.
-  void step_single_rank(std::span<float> grads, ChunkStepFn fn,
-                        void* ctx) const;
 
   std::size_t ranks_;
   Options opts_;
@@ -137,11 +134,6 @@ class ThreadComm final : public Comm {
   void reserve(std::size_t max_elems) override;
   std::size_t capacity() const override { return max_elems_; }
 
-  void allreduce_mean(std::size_t rank, std::span<float> data) override;
-  void allreduce_step(std::size_t rank, std::span<float> grads,
-                      std::span<float> params, ChunkStepFn fn,
-                      void* ctx) override;
-
   std::uint64_t logical_bytes() const override {
     return logical_bytes_.load();
   }
@@ -156,23 +148,20 @@ class ThreadComm final : public Comm {
   }
 
  private:
+  Staging stage(std::size_t rank, std::size_t size) override;
   // Barrier arrival that converts a poisoned barrier into the same
   // typed kAborted the proc fabric throws, so trainer error handling is
   // fabric-independent.
-  void sync(BarrierToken& token);
-  void grow_if_needed(std::size_t rank, std::size_t size, BarrierToken& token);
-  void check_uniform_size(std::size_t rank, std::size_t size);
-  void account(std::size_t rank, std::size_t size);
+  void sync(std::size_t rank) override;
+  void record(std::uint64_t bytes) override;
 
   SpinBarrier barrier_;
   std::vector<BarrierToken> tokens_;
   // Persistent staging: one contribution row per rank at stride
-  // max_elems_, one shared result row (reduced means, or stepped
-  // parameters on the fused path), one partial-norm slot per chunk.
+  // max_elems_, one shared result row.
   std::vector<float> staged_;
   std::vector<float> result_;
-  std::vector<double> norms_;
-  std::vector<std::size_t> sizes_;  // per-rank payload size (contract check)
+  std::vector<std::uint64_t> sizes_;
   std::size_t max_elems_ = 0;
   std::atomic<std::uint64_t> logical_bytes_{0};
   std::atomic<std::uint64_t> num_calls_{0};

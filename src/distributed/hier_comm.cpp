@@ -161,7 +161,7 @@ HierComm::Topology HierComm::topology_for(std::size_t rank, std::size_t world,
 
 HierComm::HierComm(ProcComm local, Topology topo, RingEndpoints ring,
                    std::chrono::milliseconds timeout)
-    : Comm(topo.world, local.opts_),
+    : Comm(topo.world, local.options()),
       local_(std::move(local)),
       topo_(topo),
       ring_(std::move(ring)),
@@ -212,11 +212,10 @@ void HierComm::redial_ring(std::size_t attempt) {
                        reconnect_->nodelay, chaos, seq_);
 }
 
-void HierComm::run_leader_phase(void (HierComm::*phase)(std::size_t),
-                                std::size_t size) {
+void HierComm::run_leader_phase(const Staging& s, std::size_t size) {
   for (std::size_t attempt = 0;; ++attempt) {
     try {
-      (this->*phase)(size);
+      leader_reduce_broadcast(s, size);
       return;
     } catch (const FabricError& e) {
       // kBadMagic here is a ring stream desync (duplicate/garbled
@@ -267,32 +266,14 @@ std::span<const std::uint8_t> HierComm::recv_ring(RingMsg kind,
           static_cast<std::size_t>(h.body_len)};
 }
 
-void HierComm::owned_ranges(
-    std::size_t h, std::size_t size,
-    std::vector<std::pair<std::size_t, std::size_t>>& out) const {
-  out.clear();
-  const auto [begin, end] = host_span(h, topo_.world, topo_.hosts);
-  const std::size_t chunk = chunk_elems_for(size);
-  const std::size_t num_chunks = num_chunks_for(size);
-  for (std::size_t c = 0; c < num_chunks; ++c) {
-    const std::size_t owner = c % ranks_;
-    if (owner < begin || owner >= end) continue;
-    const std::size_t lo = c * chunk;
-    out.emplace_back(lo, std::min(lo + chunk, size));
-  }
-}
-
 // The left fold over global ranks, distributed: host 0 starts the
 // double accumulator at zero, every host folds its local staged rows
 // one rank at a time (local order == contiguous global order), the last
 // host rounds to float means — the identical arithmetic, in the
-// identical order, as ThreadComm's per-element loop.
-void HierComm::leader_reduce_broadcast(std::size_t size) {
+// identical order, as Comm::reduce's per-element loop.
+void HierComm::leader_reduce_broadcast(const Staging& s, std::size_t size) {
   const Deadline deadline = deadline_after(timeout_);
   const std::size_t hosts = topo_.hosts;
-  const std::size_t stride = local_.capacity();
-  const float* staged = local_.staged_;
-  float* result = local_.result_;
 
   acc_.resize(size);
   if (topo_.host == 0) {
@@ -305,8 +286,8 @@ void HierComm::leader_reduce_broadcast(std::size_t size) {
                      << " bytes, expected " << size * sizeof(double));
     if (size > 0) std::memcpy(acc_.data(), body.data(), body.size());
   }
-  for (std::size_t r = 0; r < topo_.local_world; ++r) {
-    const float* row = staged + r * stride;
+  for (std::size_t r = 0; r < s.rows; ++r) {
+    const float* row = s.staged + r * s.stride;
     for (std::size_t i = 0; i < size; ++i)
       acc_[i] += static_cast<double>(row[i]);
   }
@@ -321,194 +302,47 @@ void HierComm::leader_reduce_broadcast(std::size_t size) {
     const auto body = recv_ring(RingMsg::kBroadcast, hosts - 1, deadline);
     DT_CHECK_MSG(body.size() == size * sizeof(float),
                  "cross-host broadcast size mismatch");
-    if (size > 0) std::memcpy(result, body.data(), body.size());
+    if (size > 0) std::memcpy(s.result, body.data(), body.size());
     // Forward until the hop before the origin: hosts 0..H-3 relay.
     if (topo_.host + 1 < hosts - 1)
       send_ring(RingMsg::kBroadcast, hosts - 1, body, deadline);
   } else {
     const double inv = 1.0 / static_cast<double>(ranks_);
     for (std::size_t i = 0; i < size; ++i)
-      result[i] = static_cast<float>(acc_[i] * inv);
+      s.result[i] = static_cast<float>(acc_[i] * inv);
     if (hosts > 1)
       send_ring(RingMsg::kBroadcast, topo_.host,
-                {reinterpret_cast<const std::uint8_t*>(result),
+                {reinterpret_cast<const std::uint8_t*>(s.result),
                  size * sizeof(float)},
                 deadline);
   }
 }
 
-// Ring allgather of the per-host stepped-parameter blocks: at step s a
-// leader forwards the block it most recently holds and receives the
-// next one from its predecessor. Host 0 receives before sending, which
-// breaks the all-sending cycle a bounded socket buffer could deadlock.
-void HierComm::leader_allgather_params(std::size_t size) {
-  const Deadline deadline = deadline_after(timeout_);
-  const std::size_t hosts = topo_.hosts;
-  float* result = local_.result_;
-
-  const auto pack = [&](std::size_t h) {
-    owned_ranges(h, size, ranges_);
-    block_.clear();
-    for (const auto& [lo, hi] : ranges_)
-      block_.insert(block_.end(), result + lo, result + hi);
-    send_ring(RingMsg::kGather, h,
-              {reinterpret_cast<const std::uint8_t*>(block_.data()),
-               block_.size() * sizeof(float)},
-              deadline);
-  };
-  const auto unpack = [&](std::size_t h) {
-    const auto body = recv_ring(RingMsg::kGather, h, deadline);
-    owned_ranges(h, size, ranges_);
-    std::size_t expect = 0;
-    for (const auto& [lo, hi] : ranges_) expect += hi - lo;
-    DT_CHECK_MSG(body.size() == expect * sizeof(float),
-                 "cross-host allgather size mismatch for host " << h);
-    const auto* src = reinterpret_cast<const float*>(body.data());
-    for (const auto& [lo, hi] : ranges_) {
-      std::memcpy(result + lo, src, (hi - lo) * sizeof(float));
-      src += hi - lo;
-    }
-  };
-
-  for (std::size_t s = 0; s + 1 < hosts; ++s) {
-    const std::size_t send_host = (topo_.host + hosts - s) % hosts;
-    const std::size_t recv_host = (topo_.host + hosts - s - 1) % hosts;
-    if (topo_.host == 0) {
-      unpack(recv_host);
-      pack(send_host);
-    } else {
-      pack(send_host);
-      unpack(recv_host);
-    }
-  }
+Comm::Staging HierComm::stage(std::size_t rank, std::size_t size) {
+  DT_CHECK_EQ(rank, topo_.global_rank);
+  const Staging s = local_.stage(topo_.local_rank, size);
+  ++seq_;
+  return s;
 }
 
-void HierComm::allreduce_mean(std::size_t rank, std::span<float> data) {
-  DT_CHECK_EQ(rank, topo_.global_rank);
-  if (ranks_ == 1) return;
-  const std::size_t size = data.size();
-  local_.reserve(size);  // typed kCapacity on overflow; never grows
-  const std::size_t stride = local_.capacity();
-  ++seq_;
+void HierComm::sync(std::size_t) { local_.sync(topo_.local_rank); }
 
-  // Phase 1: deposit the contribution in this rank's local staging row.
-  local_.sizes_[topo_.local_rank] = size;
-  if (size > 0)
-    std::memcpy(local_.staged_ + topo_.local_rank * stride, data.data(),
-                size * sizeof(float));
-  if (topo_.global_rank == 0) local_.account_raw(1, ring_bytes(size));
-  local_.barrier_wait(topo_.local_rank);
+void HierComm::record(std::uint64_t bytes) { local_.record(bytes); }
 
-  // Phase 2: the leader runs the cross-host fold and lands the float
-  // means in the shared result row. Its receipt of the broadcast
-  // transitively proves every host contributed, so the collective is a
-  // *global* synchronization point even for empty payloads (which is
-  // what Comm::barrier leans on across the checkpoint protocol).
-  if (is_leader()) {
-    local_.check_uniform_size(topo_.local_rank, size);
-    try {
-      run_leader_phase(&HierComm::leader_reduce_broadcast, size);
-    } catch (...) {
-      // Fail the followers fast (kAborted) instead of letting them wait
-      // out their own barrier deadline on a ring that is already dead.
-      local_.abort_session();
-      throw;
-    }
-  }
-  local_.barrier_wait(topo_.local_rank);
-
-  // Phase 3: everyone copies the means out. No closing barrier — the
-  // result row is only rewritten after every local rank has passed the
-  // *next* call's phase-1 barrier, i.e. finished this copy.
-  if (size > 0)
-    std::memcpy(data.data(), local_.result_, size * sizeof(float));
-}
-
-void HierComm::allreduce_step(std::size_t rank, std::span<float> grads,
-                              std::span<float> params, ChunkStepFn fn,
-                              void* ctx) {
-  DT_CHECK_EQ(rank, topo_.global_rank);
-  DT_CHECK_EQ(grads.size(), params.size());
-  const std::size_t size = grads.size();
-  if (ranks_ == 1) {
-    step_single_rank(grads, fn, ctx);
-    return;
-  }
-  local_.reserve(size);
-  const std::size_t stride = local_.capacity();
-  const std::size_t chunk = chunk_elems_for(size);
-  const std::size_t num_chunks = num_chunks_for(size);
-  ++seq_;
-
-  // Phase 1: deposit gradients.
-  local_.sizes_[topo_.local_rank] = size;
-  if (size > 0)
-    std::memcpy(local_.staged_ + topo_.local_rank * stride, grads.data(),
-                size * sizeof(float));
-  if (topo_.global_rank == 0) local_.account_raw(1, ring_bytes(size));
-  local_.barrier_wait(topo_.local_rank);
-
-  // Phase 2: leader chain — result row becomes the full mean gradient.
-  if (is_leader()) {
-    local_.check_uniform_size(topo_.local_rank, size);
-    try {
-      run_leader_phase(&HierComm::leader_reduce_broadcast, size);
-    } catch (...) {
-      local_.abort_session();
-      throw;
-    }
-  }
-  local_.barrier_wait(topo_.local_rank);
-
-  // Phase 3: every rank takes the means and re-derives the global
-  // squared norm: per-chunk partial sums in double, folded in chunk
-  // order — the identical arithmetic ThreadComm's owners publish via
-  // norms_[], so the clipping decision is fabric-independent. The
-  // barrier below keeps phase-4 result-row writes from racing this
-  // read.
-  if (size > 0)
-    std::memcpy(grads.data(), local_.result_, size * sizeof(float));
-  double sq = 0.0;
-  for (std::size_t c = 0; c < num_chunks; ++c) {
-    const std::size_t lo = c * chunk;
-    const std::size_t hi = std::min(lo + chunk, size);
-    double partial = 0.0;
-    for (std::size_t i = lo; i < hi; ++i)
-      partial += static_cast<double>(grads[i]) * grads[i];
-    sq += partial;
-  }
-  local_.barrier_wait(topo_.local_rank);
-
-  // Phase 4: step the chunks this *global* rank owns, publish the
-  // updated parameters to the result row.
-  for (std::size_t c = topo_.global_rank; c < num_chunks; c += ranks_) {
-    const std::size_t lo = c * chunk;
-    const std::size_t hi = std::min(lo + chunk, size);
-    fn(ctx, lo, hi, sq);
-    std::memcpy(local_.result_ + lo, params.data() + lo,
-                (hi - lo) * sizeof(float));
-  }
-  local_.barrier_wait(topo_.local_rank);
-
-  // Phase 5: leaders exchange the per-host stepped blocks, completing
-  // every host's result row.
-  if (is_leader() && topo_.hosts > 1) {
-    try {
-      run_leader_phase(&HierComm::leader_allgather_params, size);
-    } catch (...) {
-      local_.abort_session();
-      throw;
-    }
-  }
-  local_.barrier_wait(topo_.local_rank);
-
-  // Phase 6: allgather — take every chunk this rank didn't step.
-  for (std::size_t c = 0; c < num_chunks; ++c) {
-    if (c % ranks_ == topo_.global_rank) continue;
-    const std::size_t lo = c * chunk;
-    const std::size_t hi = std::min(lo + chunk, size);
-    std::memcpy(params.data() + lo, local_.result_ + lo,
-                (hi - lo) * sizeof(float));
+// The leader's receipt of the broadcast transitively proves every host
+// contributed, so the collective is a *global* synchronization point
+// even for empty payloads (which is what Comm::barrier leans on across
+// the checkpoint protocol).
+void HierComm::reduce(std::size_t, std::size_t size, const Staging& s) {
+  if (!is_leader()) return;
+  check_uniform_size(s, size);
+  try {
+    run_leader_phase(s, size);
+  } catch (...) {
+    // Fail the followers fast (kAborted) instead of letting them wait
+    // out their own barrier deadline on a ring that is already dead.
+    local_.abort_session();
+    throw;
   }
 }
 

@@ -3,8 +3,8 @@
 //
 // Topology: the global world is split into `hosts` contiguous, balanced
 // rank spans (host_span below). Ranks of one host share a ProcComm
-// segment — reused verbatim for its staged rows, shared result row, and
-// epoch barrier — and the first rank of each span is the host's leader,
+// segment — its staging view and epoch barrier are this collective's
+// transport hooks — and the first rank of each span is the host's leader,
 // holding two TCP connections: one dialed to the successor leader, one
 // accepted from the predecessor (all ring traffic flows in successor
 // direction, so one duplex pair per leader suffices).
@@ -16,14 +16,16 @@
 // sums and then combining them — float/double addition is not
 // associative, so ((a+b)+(c+d)) need not equal (((a+b)+c)+d). Instead
 // the reduction is a single left fold in double over global ranks 0..R-1
-// in rank order, exactly the fold ThreadComm runs per element:
+// in rank order, exactly the fold Comm::reduce runs per element. It is
+// HierComm's reduce step; deposit, barriers and copy-out are the shared
+// engine's (Comm::allreduce_mean):
 //
 //   reduce:    a running double accumulator travels the leader chain
 //              host 0 → 1 → … → H-1; each leader folds its local ranks'
 //              staged rows one rank at a time (local order == contiguous
 //              global order)
 //   mean:      the last host computes mean = float(acc * (1/R)) — the
-//              identical rounding point ThreadComm uses
+//              identical rounding point Comm::reduce uses
 //   broadcast: the float means ring forward H-1 → 0 → … → H-2; every
 //              leader deposits them in its host's shared result row
 //
@@ -97,7 +99,6 @@ class HierComm final : public Comm {
     kHandshake = 1,  // ring setup: {host_from}
     kReduce = 2,     // forward chain: running double accumulator
     kBroadcast = 3,  // forward chain: final float means
-    kGather = 4,     // ring allgather: one host's stepped param block
   };
 
   struct Topology {
@@ -119,11 +120,6 @@ class HierComm final : public Comm {
 
   void reserve(std::size_t max_elems) override { local_.reserve(max_elems); }
   std::size_t capacity() const override { return local_.capacity(); }
-
-  void allreduce_mean(std::size_t rank, std::span<float> data) override;
-  void allreduce_step(std::size_t rank, std::span<float> grads,
-                      std::span<float> params, ChunkStepFn fn,
-                      void* ctx) override;
 
   // Counters live in host 0's segment header and are bumped by global
   // rank 0 (the convention every fabric shares: rank 0 accounts, rank 0
@@ -173,16 +169,22 @@ class HierComm final : public Comm {
  private:
   bool is_leader() const { return topo_.local_rank == 0; }
 
-  // Leader-only phases. Each fills the host's shared result row; any
-  // ring failure poisons the local barrier before rethrowing.
-  void leader_reduce_broadcast(std::size_t size);
-  void leader_allgather_params(std::size_t size);
+  // Transport hooks: the host segment's rows (this rank's local row),
+  // its epoch barrier, and host 0's header counters.
+  Staging stage(std::size_t rank, std::size_t size) override;
+  void sync(std::size_t rank) override;
+  void record(std::uint64_t bytes) override;
+  // The leader runs the cross-host fold into the host's result row;
+  // followers only wait at the engine's barrier. Any ring failure
+  // poisons the local barrier before rethrowing.
+  void reduce(std::size_t rank, std::size_t size, const Staging& s) override;
 
-  // Runs a leader phase under the reconnect policy: transient failure →
-  // backoff (capped exponential + deterministic jitter) → re-dial at the
-  // current seq → re-run the phase, up to retry.max_attempts times.
-  void run_leader_phase(void (HierComm::*phase)(std::size_t),
-                        std::size_t size);
+  // One attempt at the leader chain: fold, mean, broadcast.
+  void leader_reduce_broadcast(const Staging& s, std::size_t size);
+  // Runs the leader chain under the reconnect policy: transient failure
+  // → backoff (capped exponential + deterministic jitter) → re-dial at
+  // the current seq → re-run the chain, up to retry.max_attempts times.
+  void run_leader_phase(const Staging& s, std::size_t size);
   void redial_ring(std::size_t attempt);
 
   void send_ring(RingMsg kind, std::size_t block_host,
@@ -192,12 +194,6 @@ class HierComm final : public Comm {
   std::span<const std::uint8_t> recv_ring(RingMsg kind,
                                           std::size_t expect_host,
                                           Deadline deadline);
-
-  // Chunks owned by host `h`'s ranks, as (lo, hi) element ranges of a
-  // `size`-element payload, in chunk order.
-  void owned_ranges(std::size_t h, std::size_t size,
-                    std::vector<std::pair<std::size_t, std::size_t>>& out)
-      const;
 
   ProcComm local_;
   Topology topo_;
@@ -209,9 +205,7 @@ class HierComm final : public Comm {
 
   // Leader scratch (persistent so steady-state calls stay cheap).
   std::vector<double> acc_;
-  std::vector<float> block_;
   std::vector<std::uint8_t> body_;
-  std::vector<std::pair<std::size_t, std::size_t>> ranges_;
   Frame frame_;
   std::uint64_t seq_ = 0;
 };

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstring>
 #include <thread>
 
 #include "util/check.hpp"
@@ -38,27 +37,15 @@ std::size_t align_up(std::size_t n, std::size_t a) {
   return (n + a - 1) / a * a;
 }
 
-std::size_t max_chunks_for(std::size_t world, std::size_t max_elems,
-                           std::size_t chunk_opt) {
-  const std::size_t size = std::max<std::size_t>(max_elems, 1);
-  const std::size_t chunk =
-      chunk_opt != 0 ? chunk_opt : (size + world - 1) / world;
-  return (size + chunk - 1) / chunk;
-}
-
 struct Layout {
-  std::size_t sizes_off, norms_off, result_off, staged_off, total;
+  std::size_t sizes_off, result_off, staged_off, total;
 };
 
-Layout layout_for(std::size_t world, std::size_t max_elems,
-                  std::size_t chunk_opt) {
+Layout layout_for(std::size_t world, std::size_t max_elems) {
   Layout l{};
   std::size_t off = align_up(sizeof(ProcCommHeader), 64);
   l.sizes_off = off;
   off = align_up(off + world * sizeof(std::uint64_t), 64);
-  l.norms_off = off;
-  off = align_up(
-      off + max_chunks_for(world, max_elems, chunk_opt) * sizeof(double), 64);
   l.result_off = off;
   off = align_up(off + max_elems * sizeof(float), 64);
   l.staged_off = off;
@@ -69,18 +56,17 @@ Layout layout_for(std::size_t world, std::size_t max_elems,
 
 }  // namespace
 
-std::size_t ProcComm::segment_bytes(std::size_t world, std::size_t max_elems,
-                                    const Options& opts) {
-  return layout_for(world, max_elems, opts.chunk_elems).total;
+std::size_t ProcComm::segment_bytes(std::size_t world,
+                                    std::size_t max_elems) {
+  return layout_for(world, max_elems).total;
 }
 
 ProcComm::ProcComm(ShmSegment segment, std::size_t world, Options opts,
                    std::chrono::milliseconds timeout)
     : Comm(world, opts), segment_(std::move(segment)), timeout_(timeout) {
   hdr_ = segment_.as<ProcCommHeader>();
-  const Layout l = layout_for(world, hdr_->max_elems, opts.chunk_elems);
+  const Layout l = layout_for(world, hdr_->max_elems);
   sizes_ = segment_.as<std::uint64_t>(l.sizes_off);
-  norms_ = segment_.as<double>(l.norms_off);
   result_ = segment_.as<float>(l.result_off);
   staged_ = segment_.as<float>(l.staged_off);
 }
@@ -90,7 +76,7 @@ ProcComm ProcComm::create(const std::string& shm_name, std::size_t world,
                           std::chrono::milliseconds timeout) {
   DT_CHECK_GT(world, 0u);
   ShmSegment seg =
-      ShmSegment::create(shm_name, segment_bytes(world, max_elems, opts));
+      ShmSegment::create(shm_name, segment_bytes(world, max_elems));
   auto* hdr = seg.as<ProcCommHeader>();
   hdr->world = static_cast<std::uint32_t>(world);
   hdr->max_elems = max_elems;
@@ -130,7 +116,7 @@ ProcComm ProcComm::attach(const std::string& shm_name, std::size_t world,
     max_elems = hdr->max_elems;
   }
   ShmSegment seg =
-      ShmSegment::attach(shm_name, segment_bytes(world, max_elems, opts));
+      ShmSegment::attach(shm_name, segment_bytes(world, max_elems));
   return ProcComm(std::move(seg), world, opts, timeout);
 }
 
@@ -161,8 +147,7 @@ bool ProcComm::aborted() const {
   return hdr_->aborted.load(std::memory_order_acquire) != 0;
 }
 
-void ProcComm::barrier_wait(std::size_t rank) {
-  (void)rank;
+void ProcComm::sync(std::size_t) {
   if (aborted()) throw_fabric(FabricErrc::kAborted, "collective poisoned");
   const std::uint32_t my_epoch = hdr_->epoch.load(std::memory_order_acquire);
   if (hdr_->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
@@ -199,134 +184,14 @@ void ProcComm::barrier_wait(std::size_t rank) {
   if (aborted()) throw_fabric(FabricErrc::kAborted, "collective poisoned");
 }
 
-void ProcComm::check_uniform_size(std::size_t rank, std::size_t size) {
-  for (std::size_t r = 0; r < ranks_; ++r)
-    DT_CHECK_MSG(sizes_[r] == size, "allreduce size mismatch: rank "
-                                        << rank << " has " << size << ", rank "
-                                        << r << " has " << sizes_[r]);
-}
-
-void ProcComm::account(std::size_t rank, std::size_t size) {
-  if (rank != 0) return;
-  hdr_->num_calls.fetch_add(1, std::memory_order_relaxed);
-  hdr_->logical_bytes.fetch_add(ring_bytes(size), std::memory_order_relaxed);
-}
-
-void ProcComm::account_raw(std::uint64_t calls, std::uint64_t bytes) {
-  hdr_->num_calls.fetch_add(calls, std::memory_order_relaxed);
-  hdr_->logical_bytes.fetch_add(bytes, std::memory_order_relaxed);
-}
-
-// The phase structure below is ThreadComm's, line for line, with the
-// segment arrays in place of the vectors — same chunk partition, same
-// fixed rank-order double accumulation, so results are bit-identical
-// across fabrics (the property the cross-fabric equivalence grid pins).
-
-void ProcComm::allreduce_mean(std::size_t rank, std::span<float> data) {
-  DT_CHECK_LT(rank, ranks_);
-  if (ranks_ == 1) return;
-  const std::size_t size = data.size();
+Comm::Staging ProcComm::stage(std::size_t rank, std::size_t size) {
   reserve(size);  // typed kCapacity error on overflow; never grows
-  const std::size_t stride = hdr_->max_elems;
-
-  // Phase 1: deposit the contribution in this rank's fixed staging row.
-  sizes_[rank] = size;
-  if (size > 0)
-    std::memcpy(staged_ + rank * stride, data.data(), size * sizeof(float));
-  account(rank, size);
-  barrier_wait(rank);
-
-  // Phase 2: reduce-scatter owned chunks, fixed rank order.
-  check_uniform_size(rank, size);
-  const std::size_t chunk = chunk_elems_for(size);
-  const std::size_t num_chunks = num_chunks_for(size);
-  const double inv = 1.0 / static_cast<double>(ranks_);
-  for (std::size_t c = rank; c < num_chunks; c += ranks_) {
-    const std::size_t lo = c * chunk;
-    const std::size_t hi = std::min(lo + chunk, size);
-    for (std::size_t i = lo; i < hi; ++i) {
-      double acc = 0.0;
-      for (std::size_t r = 0; r < ranks_; ++r)
-        acc += static_cast<double>(staged_[r * stride + i]);
-      const float mean = static_cast<float>(acc * inv);
-      result_[i] = mean;
-      data[i] = mean;
-    }
-  }
-  barrier_wait(rank);
-
-  // Phase 3: allgather (no closing barrier — same re-entry argument as
-  // ThreadComm: result_ is only rewritten after every rank has passed
-  // the next call's phase-1 barrier, i.e. finished this copy).
-  for (std::size_t c = 0; c < num_chunks; ++c) {
-    if (c % ranks_ == rank) continue;
-    const std::size_t lo = c * chunk;
-    const std::size_t hi = std::min(lo + chunk, size);
-    std::memcpy(data.data() + lo, result_ + lo, (hi - lo) * sizeof(float));
-  }
+  return {staged_, hdr_->max_elems, result_, sizes_, ranks_, rank};
 }
 
-void ProcComm::allreduce_step(std::size_t rank, std::span<float> grads,
-                              std::span<float> params, ChunkStepFn fn,
-                              void* ctx) {
-  DT_CHECK_LT(rank, ranks_);
-  DT_CHECK_EQ(grads.size(), params.size());
-  const std::size_t size = grads.size();
-  const std::size_t chunk = chunk_elems_for(size);
-  const std::size_t num_chunks = num_chunks_for(size);
-
-  if (ranks_ == 1) {
-    step_single_rank(grads, fn, ctx);
-    return;
-  }
-
-  reserve(size);
-  const std::size_t stride = hdr_->max_elems;
-
-  // Phase 1: deposit gradients.
-  sizes_[rank] = size;
-  if (size > 0)
-    std::memcpy(staged_ + rank * stride, grads.data(), size * sizeof(float));
-  account(rank, size);
-  barrier_wait(rank);
-
-  // Phase 2: reduce-scatter mean gradient + per-chunk partial norms.
-  check_uniform_size(rank, size);
-  const double inv = 1.0 / static_cast<double>(ranks_);
-  for (std::size_t c = rank; c < num_chunks; c += ranks_) {
-    const std::size_t lo = c * chunk;
-    const std::size_t hi = std::min(lo + chunk, size);
-    double partial = 0.0;
-    for (std::size_t i = lo; i < hi; ++i) {
-      double acc = 0.0;
-      for (std::size_t r = 0; r < ranks_; ++r)
-        acc += static_cast<double>(staged_[r * stride + i]);
-      const float mean = static_cast<float>(acc * inv);
-      grads[i] = mean;
-      partial += static_cast<double>(mean) * mean;
-    }
-    norms_[c] = partial;
-  }
-  barrier_wait(rank);
-
-  // Phase 3: global norm (chunk-order sum), step owned chunks, publish.
-  double sq = 0.0;
-  for (std::size_t c = 0; c < num_chunks; ++c) sq += norms_[c];
-  for (std::size_t c = rank; c < num_chunks; c += ranks_) {
-    const std::size_t lo = c * chunk;
-    const std::size_t hi = std::min(lo + chunk, size);
-    fn(ctx, lo, hi, sq);
-    std::memcpy(result_ + lo, params.data() + lo, (hi - lo) * sizeof(float));
-  }
-  barrier_wait(rank);
-
-  // Phase 4: allgather updated parameters.
-  for (std::size_t c = 0; c < num_chunks; ++c) {
-    if (c % ranks_ == rank) continue;
-    const std::size_t lo = c * chunk;
-    const std::size_t hi = std::min(lo + chunk, size);
-    std::memcpy(params.data() + lo, result_ + lo, (hi - lo) * sizeof(float));
-  }
+void ProcComm::record(std::uint64_t bytes) {
+  hdr_->num_calls.fetch_add(1, std::memory_order_relaxed);
+  hdr_->logical_bytes.fetch_add(bytes, std::memory_order_relaxed);
 }
 
 }  // namespace disttgl::dist

@@ -1,15 +1,15 @@
-// Multi-process transport for the collective: ThreadComm's algorithm,
-// verbatim, over a POSIX shared-memory segment.
+// Multi-process transport for the collective: the segment layout and
+// the barrier that Comm::allreduce_mean runs over, in a POSIX
+// shared-memory segment.
 //
 // Layout (offsets computed identically by creator and attachers from
-// {world, max_elems, chunk option} — the header exists to *validate*
-// that agreement, not to communicate it):
+// {world, max_elems} — the header exists to *validate* that agreement,
+// not to communicate it):
 //
 //   ProcCommHeader   magic/world/max_elems/chunk option, epoch barrier
 //                    words, abort flag, traffic counters
 //   sizes[world]     per-rank payload size (contract check)
-//   norms[chunks]    per-chunk partial norms (fused path)
-//   result[max]      shared result row (means / stepped params)
+//   result[max]      shared result row (means)
 //   staged[world*max] per-rank contribution rows
 //
 // Synchronization is a sense-free epoch barrier: the last arrival
@@ -43,8 +43,7 @@ namespace disttgl::dist {
 class ProcComm final : public Comm {
  public:
   // Bytes create() will allocate for a given geometry (layout + padding).
-  static std::size_t segment_bytes(std::size_t world, std::size_t max_elems,
-                                   const Options& opts);
+  static std::size_t segment_bytes(std::size_t world, std::size_t max_elems);
 
   // Parent/creator side: makes + initializes the segment. The returned
   // ProcComm owns the segment (unlink on destruction) and is itself
@@ -61,11 +60,6 @@ class ProcComm final : public Comm {
   void reserve(std::size_t max_elems) override;
   std::size_t capacity() const override;
 
-  void allreduce_mean(std::size_t rank, std::span<float> data) override;
-  void allreduce_step(std::size_t rank, std::span<float> grads,
-                      std::span<float> params, ChunkStepFn fn,
-                      void* ctx) override;
-
   std::uint64_t logical_bytes() const override;
   std::uint64_t num_allreduces() const override;
 
@@ -77,26 +71,21 @@ class ProcComm final : public Comm {
 
   const std::string& shm_name() const { return segment_.name(); }
 
- private:
-  // HierComm reuses this segment as its intra-host transport: the staged
-  // rows, the shared result row, and the epoch barrier — with its own
-  // global-rank reduction on top (hier_comm.hpp).
-  friend class HierComm;
+  // Transport hooks, public so HierComm can stack its cross-host reduce
+  // step on this segment's rows and barrier (hier_comm.hpp). stage()
+  // is the capacity check (kCapacity, never a grow), sync() the epoch
+  // barrier, record() the header counters.
+  Staging stage(std::size_t rank, std::size_t size) override;
+  void sync(std::size_t rank) override;
+  void record(std::uint64_t bytes) override;
 
+ private:
   ProcComm(ShmSegment segment, std::size_t world, Options opts,
            std::chrono::milliseconds timeout);
-
-  void barrier_wait(std::size_t rank);
-  void check_uniform_size(std::size_t rank, std::size_t size);
-  void account(std::size_t rank, std::size_t size);
-  // Raw counter bump for HierComm, whose ring_bytes is computed over the
-  // GLOBAL world (account() above would use this segment's local world).
-  void account_raw(std::uint64_t calls, std::uint64_t bytes);
 
   // Typed views into the mapped segment (set once in the ctor).
   struct ProcCommHeader* hdr_ = nullptr;
   std::uint64_t* sizes_ = nullptr;
-  double* norms_ = nullptr;
   float* result_ = nullptr;
   float* staged_ = nullptr;
 

@@ -206,7 +206,9 @@ std::vector<float> WireCursor::get_f32s() {
   if (count > data_.size()) throw_fabric(FabricErrc::kTruncated, "f32 count");
   need(count * sizeof(float));
   std::vector<float> out(count);
-  std::memcpy(out.data(), data_.data() + pos_, count * sizeof(float));
+  // An empty vector's data() may be null, which memcpy must never get.
+  if (count > 0)
+    std::memcpy(out.data(), data_.data() + pos_, count * sizeof(float));
   pos_ += count * sizeof(float);
   return out;
 }
@@ -216,7 +218,8 @@ void WireCursor::get_f32s_into(std::vector<float>& out) {
   if (count > data_.size()) throw_fabric(FabricErrc::kTruncated, "f32 count");
   need(count * sizeof(float));
   out.resize(count);
-  std::memcpy(out.data(), data_.data() + pos_, count * sizeof(float));
+  if (count > 0)
+    std::memcpy(out.data(), data_.data() + pos_, count * sizeof(float));
   pos_ += count * sizeof(float);
 }
 
@@ -225,7 +228,9 @@ void WireCursor::get_u32s_into(std::vector<std::uint32_t>& out) {
   if (count > data_.size()) throw_fabric(FabricErrc::kTruncated, "u32 count");
   need(count * sizeof(std::uint32_t));
   out.resize(count);
-  std::memcpy(out.data(), data_.data() + pos_, count * sizeof(std::uint32_t));
+  if (count > 0)
+    std::memcpy(out.data(), data_.data() + pos_,
+                count * sizeof(std::uint32_t));
   pos_ += count * sizeof(std::uint32_t);
 }
 

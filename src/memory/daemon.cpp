@@ -16,6 +16,14 @@ namespace disttgl {
 // so a post racing an abort can never resurrect a poisoned word — the
 // only writer that does not CAS is abort() itself, and everything it
 // clobbers is wreckage by definition.
+//
+// A poisoned word alone does not make unwinding safe: the daemon may
+// still be inside read_into/write on the very buffers a trainer lent
+// it, and its failed CAS gives that trainer no happens-before. So every
+// kAborted throw first acquires `running_`, which the daemon thread
+// clears with release as it leaves run() (and which is already clear
+// for a daemon that was never started). The steady state never touches
+// it.
 
 namespace {
 // All-ones round counter = aborted (a real schedule never gets close).
@@ -24,10 +32,6 @@ constexpr std::uint64_t kRoundsPoison = ~std::uint64_t{0};
 void poison_word(std::atomic<int>& word) {
   word.store(kStatusPoison, std::memory_order_release);
   word.notify_all();
-}
-
-[[noreturn]] void throw_aborted(const char* what) {
-  dist::throw_fabric(dist::FabricErrc::kAborted, what);
 }
 }  // namespace
 
@@ -49,7 +53,12 @@ MemoryDaemon::~MemoryDaemon() {
 void MemoryDaemon::start() {
   DT_CHECK(!started_);
   started_ = true;
-  thread_ = std::thread([this] { run(); });
+  running_.store(true, std::memory_order_relaxed);
+  thread_ = std::thread([this] {
+    run();
+    running_.store(false, std::memory_order_release);
+    running_.notify_all();
+  });
 }
 
 void MemoryDaemon::join() {
@@ -65,6 +74,12 @@ void MemoryDaemon::abort() {
   }
   rounds_served_.store(kRoundsPoison, std::memory_order_release);
   rounds_served_.notify_all();
+}
+
+void MemoryDaemon::throw_aborted(const char* what) {
+  while (running_.load(std::memory_order_acquire))
+    running_.wait(true, std::memory_order_acquire);
+  dist::throw_fabric(dist::FabricErrc::kAborted, what);
 }
 
 void MemoryDaemon::read(std::size_t rank, std::span<const NodeId> nodes,

@@ -107,7 +107,9 @@ class MemoryDaemon final : public DaemonChannel {
 
   // Poisons every slot status word and wakes all parked parties —
   // trainers mid-handshake and the daemon thread itself bail with
-  // kAborted instead of waiting for peers that will never post. The
+  // kAborted instead of waiting for peers that will never post. A
+  // trainer throws only once the daemon thread has left its serve loop,
+  // so no lent buffer is unwound while the daemon still uses it. The
   // in-process analogue of ShmDaemonChannel::abort_session, used by the
   // threaded trainer's failure teardown. Idempotent, any thread.
   void abort();
@@ -131,12 +133,18 @@ class MemoryDaemon final : public DaemonChannel {
   };
 
   void run();
+  // Waits until the daemon thread has left run() — so it no longer
+  // touches any lent buffer — then throws kAborted.
+  [[noreturn]] void throw_aborted(const char* what);
 
   MemoryState& state_;
   DaemonConfig config_;
   std::vector<std::unique_ptr<Slot>> slots_;
   std::thread thread_;
   std::atomic<bool> aborted_{false};
+  // True from start() until the daemon thread leaves run() (cleared with
+  // release; the abort path acquires it before unwinding).
+  std::atomic<bool> running_{false};
   // Completed (R…R)(W…W) brackets, counted from round 0 of the full
   // schedule (initialized to start_round on resume); bumped with a
   // release store + notify_all so await_rounds establishes

@@ -20,75 +20,39 @@ float clip_grad_norm(const std::vector<Parameter*>& params, float max_norm) {
 
 Adam::Adam(std::vector<Parameter*> params, Options opts)
     : params_(std::move(params)), opts_(opts) {
-  offsets_.reserve(params_.size());
-  for (const Parameter* p : params_) {
-    offsets_.push_back(total_);
-    total_ += p->size();
-  }
-  m_.assign(total_, 0.0f);
-  v_.assign(total_, 0.0f);
-}
-
-void Adam::begin_step() {
-  ++t_;
-  bc1_ = 1.0f - std::pow(opts_.beta1, static_cast<float>(t_));
-  bc2_ = 1.0f - std::pow(opts_.beta2, static_cast<float>(t_));
-}
-
-// The element update over flat indices [lo, hi); `values`/`grads` point
-// at flat index `lo`. Shared by the per-parameter and contiguous paths
-// so both produce bit-identical results.
-void Adam::update_span(std::size_t lo, std::size_t hi, float* values,
-                       const float* grads) {
-  for (std::size_t j = lo; j < hi; ++j) {
-    float g = grads[j - lo];
-    if (opts_.weight_decay > 0.0f) g += opts_.weight_decay * values[j - lo];
-    m_[j] = opts_.beta1 * m_[j] + (1.0f - opts_.beta1) * g;
-    v_[j] = opts_.beta2 * v_[j] + (1.0f - opts_.beta2) * g * g;
-    const float mhat = m_[j] / bc1_;
-    const float vhat = v_[j] / bc2_;
-    values[j - lo] -= opts_.lr * mhat / (std::sqrt(vhat) + opts_.eps);
-  }
+  std::size_t total = 0;
+  for (const Parameter* p : params_) total += p->size();
+  m_.assign(total, 0.0f);
+  v_.assign(total, 0.0f);
 }
 
 void Adam::step() {
-  begin_step();
-  for (std::size_t i = 0; i < params_.size(); ++i) {
-    Parameter& p = *params_[i];
-    const std::size_t off = offsets_[i];
-    update_span(off, off + p.value.size(), p.value.data(), p.grad.data());
-  }
-}
-
-void Adam::step_range(std::size_t lo, std::size_t hi) {
-  DT_CHECK_LE(lo, hi);
-  DT_CHECK_LE(hi, total_);
-  if (contiguous_ < 0) {
-    contiguous_ = !params_.empty();
-    for (std::size_t i = 0; i < params_.size(); ++i) {
-      if (params_[i]->value.data() != params_[0]->value.data() + offsets_[i] ||
-          params_[i]->grad.data() != params_[0]->grad.data() + offsets_[i])
-        contiguous_ = 0;
-    }
-    if (contiguous_) {
-      value_base_ = params_[0]->value.data();
-      grad_base_ = params_[0]->grad.data();
+  ++t_;
+  const float bc1 = 1.0f - std::pow(opts_.beta1, static_cast<float>(t_));
+  const float bc2 = 1.0f - std::pow(opts_.beta2, static_cast<float>(t_));
+  std::size_t j = 0;  // flat moment index, parameter order
+  for (Parameter* p : params_) {
+    float* values = p->value.data();
+    const float* grads = p->grad.data();
+    for (std::size_t e = 0; e < p->value.size(); ++e, ++j) {
+      float g = grads[e];
+      if (opts_.weight_decay > 0.0f) g += opts_.weight_decay * values[e];
+      m_[j] = opts_.beta1 * m_[j] + (1.0f - opts_.beta1) * g;
+      v_[j] = opts_.beta2 * v_[j] + (1.0f - opts_.beta2) * g * g;
+      const float mhat = m_[j] / bc1;
+      const float vhat = v_[j] / bc2;
+      values[e] -= opts_.lr * mhat / (std::sqrt(vhat) + opts_.eps);
     }
   }
-  DT_CHECK_MSG(contiguous_ == 1,
-               "Adam::step_range requires contiguous flat parameter storage "
-               "(Module::freeze_flat_storage)");
-  update_span(lo, hi, value_base_ + lo, grad_base_ + lo);
 }
 
 void Adam::restore_state(std::size_t steps, std::span<const float> m,
                          std::span<const float> v) {
-  DT_CHECK_EQ(m.size(), total_);
-  DT_CHECK_EQ(v.size(), total_);
+  DT_CHECK_EQ(m.size(), m_.size());
+  DT_CHECK_EQ(v.size(), v_.size());
   t_ = steps;
   std::copy(m.begin(), m.end(), m_.begin());
   std::copy(v.begin(), v.end(), v_.begin());
-  // bc1_/bc2_ are derived from t_ at the next begin_step()/step().
 }
 
 void Adam::zero_grad() {

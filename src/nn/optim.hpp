@@ -21,8 +21,7 @@ struct AdamOptions {
 
 // Adam with optional decoupled weight decay. Moment state is stored as
 // two flat buffers laid out in parameter order (stable for a fixed
-// model), which is what lets the fused gradient-sync path step an
-// arbitrary flat-index range.
+// model), which is what the checkpoint shards snapshot.
 class Adam {
  public:
   using Options = AdamOptions;
@@ -35,44 +34,20 @@ class Adam {
   float lr() const { return opts_.lr; }
   std::size_t steps_taken() const { return t_; }
 
-  // ---- fused allreduce→step path (ThreadComm::allreduce_step) ----
-  // begin_step() advances the shared step count / bias corrections once
-  // per iteration; step_range(lo, hi) then applies the update to flat
-  // parameter indices [lo, hi) — callable once per owned chunk, in any
-  // order, covering any subset. Element math is identical to step()
-  // (step() == begin_step() + step_range(0, num_elements())).
-  // step_range requires the parameters to live in contiguous flat
-  // storage (nn::Module::freeze_flat_storage).
-  void begin_step();
-  void step_range(std::size_t lo, std::size_t hi);
-  std::size_t num_elements() const { return total_; }
-
   // ---- checkpoint support (core/checkpoint.hpp) ----
   // The full optimizer trajectory is (t_, m_, v_): bias corrections are
-  // recomputed from t_ at the next begin_step()/step(), so restoring
-  // these three reproduces the update stream bitwise. On the fused path
-  // each rank only ever steps its owned chunks, so moments are
-  // *per-rank* state and each rank snapshots/restores its own.
+  // recomputed from t_ at the next step(), so restoring these three
+  // reproduces the update stream bitwise.
   std::span<const float> moment1() const { return m_; }
   std::span<const float> moment2() const { return v_; }
   void restore_state(std::size_t steps, std::span<const float> m,
                      std::span<const float> v);
 
  private:
-  void update_span(std::size_t lo, std::size_t hi, float* values,
-                   const float* grads);
-
   std::vector<Parameter*> params_;
   Options opts_;
-  std::vector<float> m_, v_;           // flat moments, parameter order
-  std::vector<std::size_t> offsets_;   // flat offset per parameter
-  std::size_t total_ = 0;
+  std::vector<float> m_, v_;  // flat moments, parameter order
   std::size_t t_ = 0;
-  float bc1_ = 1.0f, bc2_ = 1.0f;      // bias corrections for step t_
-  // Lazily verified contiguity (value/grad base pointers) for step_range.
-  int contiguous_ = -1;
-  float* value_base_ = nullptr;
-  float* grad_base_ = nullptr;
 };
 
 // Plain SGD, used by the static-memory pre-trainer and as an ablation.

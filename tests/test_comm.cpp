@@ -1,13 +1,13 @@
 // The gradient-sync layer (src/distributed/comm.*): chunked
 // reduce-scatter + allgather semantics, bitwise determinism across
 // thread counts / arrival orders / chunk sizes, odd payloads vs chunk
-// boundaries, capacity growth, logical-byte accounting, and the fused
-// allreduce→step path. The allocation contract lives in
-// tests/test_comm_alloc.cpp.
+// boundaries, capacity growth, and logical-byte accounting. The
+// allocation contract lives in tests/test_comm_alloc.cpp; the
+// cross-transport table (ThreadComm ≡ ProcComm ≡ HierComm) in
+// tests/test_fabric.cpp.
 #include <gtest/gtest.h>
 
 #include <chrono>
-#include <cmath>
 #include <cstdint>
 #include <thread>
 #include <vector>
@@ -242,104 +242,6 @@ TEST(ThreadCommRing, LogicalBytesFollowRingFormula) {
       2.0 * (ranks - 1) / ranks * size * sizeof(float) * ranks);
   EXPECT_EQ(comm.logical_bytes(), expected);
   EXPECT_EQ(comm.num_allreduces(), 1u);
-}
-
-// ---- fused allreduce→step ----
-
-// A deterministic toy optimizer for the fused contract: clip to a global
-// norm bound, then SGD. Mirrors what the trainer's Adam hook does
-// without dragging the nn layer into this suite.
-struct ToyStep {
-  std::span<float> grads;
-  std::span<float> params;
-  float max_norm;
-  float lr;
-};
-
-void toy_chunk_step(void* ctx, std::size_t lo, std::size_t hi, double sq) {
-  auto* s = static_cast<ToyStep*>(ctx);
-  const float norm = static_cast<float>(std::sqrt(sq));
-  const float scale = (norm > s->max_norm && norm > 0.0f)
-                          ? s->max_norm / norm
-                          : 1.0f;
-  for (std::size_t i = lo; i < hi; ++i)
-    s->params[i] -= s->lr * scale * s->grads[i];
-}
-
-TEST(ThreadCommFused, MatchesUnfusedReference) {
-  for (const std::size_t ranks : {1u, 2u, 4u, 8u}) {
-    for (const std::size_t size : {1u, 17u, 96u}) {
-      for (const std::size_t chunk : {0u, 5u}) {
-        for (const float max_norm : {1e9f, 0.05f}) {  // clip off / on
-          auto grads = make_payloads(ranks, size, 9);
-          std::vector<std::vector<float>> params(
-              ranks, make_payloads(1, size, 21)[0]);  // identical replicas
-
-          // Reference: full mean, chunk-ordered global norm (the
-          // collective's summation order), full toy step.
-          std::vector<float> want_params = params[0];
-          {
-            const std::vector<float> mean = reference_mean(grads);
-            ThreadComm probe(ranks,
-                             ThreadComm::Options{.chunk_elems = chunk});
-            const std::size_t ce = probe.chunk_elems_for(size);
-            const std::size_t nc = probe.num_chunks_for(size);
-            double sq = 0.0;
-            for (std::size_t c = 0; c < nc; ++c) {
-              double partial = 0.0;
-              const std::size_t hi = std::min((c + 1) * ce, size);
-              for (std::size_t i = c * ce; i < hi; ++i)
-                partial += static_cast<double>(mean[i]) * mean[i];
-              sq += partial;
-            }
-            std::vector<float> g = mean;
-            ToyStep ref{g, want_params, max_norm, 0.1f};
-            toy_chunk_step(&ref, 0, size, sq);
-          }
-
-          ThreadComm comm(ranks, ThreadComm::Options{.chunk_elems = chunk});
-          std::vector<std::thread> threads;
-          for (std::size_t r = 0; r < ranks; ++r) {
-            threads.emplace_back([&, r] {
-              ToyStep ctx{grads[r], params[r], max_norm, 0.1f};
-              comm.allreduce_step(r, grads[r], params[r], &toy_chunk_step,
-                                  &ctx);
-            });
-          }
-          for (auto& t : threads) t.join();
-
-          for (std::size_t r = 0; r < ranks; ++r)
-            ASSERT_EQ(params[r], want_params)
-                << "ranks=" << ranks << " size=" << size << " chunk=" << chunk
-                << " max_norm=" << max_norm << " rank=" << r;
-        }
-      }
-    }
-  }
-}
-
-TEST(ThreadCommFused, RepeatedRoundsKeepReplicasIdentical) {
-  const std::size_t ranks = 4, size = 61, rounds = 20;
-  ThreadComm comm(ranks, ThreadComm::Options{.chunk_elems = 8});
-  comm.reserve(size);
-  std::vector<std::vector<float>> params(ranks,
-                                         make_payloads(1, size, 40)[0]);
-  std::vector<std::vector<float>> grads(ranks, std::vector<float>(size));
-
-  std::vector<std::thread> threads;
-  for (std::size_t r = 0; r < ranks; ++r) {
-    threads.emplace_back([&, r] {
-      for (std::size_t t = 0; t < rounds; ++t) {
-        grads[r] = make_payloads(ranks, size, static_cast<std::uint32_t>(t))[r];
-        ToyStep ctx{grads[r], params[r], 0.5f, 0.05f};
-        comm.allreduce_step(r, grads[r], params[r], &toy_chunk_step, &ctx);
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  for (std::size_t r = 1; r < ranks; ++r)
-    EXPECT_EQ(params[r], params[0]) << "replica " << r << " diverged";
-  EXPECT_EQ(comm.num_allreduces(), rounds);
 }
 
 }  // namespace

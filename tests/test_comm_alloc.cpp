@@ -1,10 +1,9 @@
 // Allocation-freedom of the gradient-sync layer: once the persistent
 // staging is at its high-water mark (reserve(), or the first call's
-// barrier-protected growth), allreduce_mean / allreduce_step must never
-// touch the allocator again — the per-iteration collective is pure
-// memcpy + reduce over preallocated buffers, and the fused hook is a
-// plain function pointer (no type-erased callable). Same
-// counting-global-allocator technique as test_kernels /
+// barrier-protected growth), allreduce_mean must never touch the
+// allocator again — the per-iteration collective is pure memcpy +
+// reduce over preallocated buffers. Same counting-global-allocator
+// technique as test_kernels /
 // test_batch_alloc / test_memory_alloc; the counter lives in this
 // binary only.
 //
@@ -18,10 +17,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cmath>
 #include <cstdlib>
 #include <new>
-#include <span>
 #include <thread>
 #include <vector>
 
@@ -68,39 +65,20 @@ namespace {
 constexpr std::size_t kWarm = 3;
 constexpr std::size_t kMeasured = 12;
 
-struct ToyStep {
-  std::span<float> grads;
-  std::span<float> params;
-};
-
-void toy_chunk_step(void* ctx, std::size_t lo, std::size_t hi, double sq) {
-  auto* s = static_cast<ToyStep*>(ctx);
-  const float scale = sq > 0.0 ? 0.1f : 0.2f;
-  for (std::size_t i = lo; i < hi; ++i) s->params[i] -= scale * s->grads[i];
-}
-
-// Runs kWarm + kMeasured rounds on `ranks` persistent threads; `fused`
-// selects the collective. Returns the allocation delta observed across
-// the measured rounds.
-std::size_t measured_alloc_delta(ThreadComm& comm, std::size_t size,
-                                 bool fused) {
+// Runs kWarm + kMeasured rounds on `ranks` persistent threads. Returns
+// the allocation delta observed across the measured rounds.
+std::size_t measured_alloc_delta(ThreadComm& comm, std::size_t size) {
   const std::size_t ranks = comm.ranks();
   std::vector<std::vector<float>> grads(ranks, std::vector<float>(size, 0.5f));
-  std::vector<std::vector<float>> params(ranks, std::vector<float>(size, 1.0f));
   std::atomic<std::size_t> before{0};
 
   std::vector<std::thread> threads;
   for (std::size_t r = 0; r < ranks; ++r) {
     threads.emplace_back([&, r] {
-      ToyStep ctx{grads[r], params[r]};
       for (std::size_t t = 0; t < kWarm + kMeasured; ++t) {
         if (r == 0 && t == kWarm)
           before.store(g_alloc_count.load(), std::memory_order_relaxed);
-        if (fused) {
-          comm.allreduce_step(r, grads[r], params[r], &toy_chunk_step, &ctx);
-        } else {
-          comm.allreduce_mean(r, grads[r]);
-        }
+        comm.allreduce_mean(r, grads[r]);
       }
     });
   }
@@ -111,7 +89,7 @@ std::size_t measured_alloc_delta(ThreadComm& comm, std::size_t size,
 TEST(CommAllocationFree, ReservedAllreduceSteadyState) {
   ThreadComm comm(4);
   comm.reserve(4096);
-  EXPECT_EQ(measured_alloc_delta(comm, 4096, /*fused=*/false), 0u)
+  EXPECT_EQ(measured_alloc_delta(comm, 4096), 0u)
       << "steady-state allreduce_mean allocated";
 }
 
@@ -120,16 +98,9 @@ TEST(CommAllocationFree, FirstCallGrowsThenSteadyState) {
   // allocating event; warm rounds absorb it and the measured window must
   // stay clean.
   ThreadComm comm(3);
-  EXPECT_EQ(measured_alloc_delta(comm, 1000, /*fused=*/false), 0u)
+  EXPECT_EQ(measured_alloc_delta(comm, 1000), 0u)
       << "post-growth allreduce_mean allocated";
   EXPECT_GE(comm.capacity(), 1000u);
-}
-
-TEST(CommAllocationFree, FusedStepSteadyState) {
-  ThreadComm comm(4, ThreadComm::Options{.chunk_elems = 256});
-  comm.reserve(4096);
-  EXPECT_EQ(measured_alloc_delta(comm, 4096, /*fused=*/true), 0u)
-      << "steady-state allreduce_step allocated";
 }
 
 TEST(CommAllocationFree, OddPayloadSteadyState) {
@@ -137,8 +108,7 @@ TEST(CommAllocationFree, OddPayloadSteadyState) {
   // chunk on every round.
   ThreadComm comm(4, ThreadComm::Options{.chunk_elems = 64});
   comm.reserve(999);
-  EXPECT_EQ(measured_alloc_delta(comm, 999, /*fused=*/false), 0u);
-  EXPECT_EQ(measured_alloc_delta(comm, 999, /*fused=*/true), 0u);
+  EXPECT_EQ(measured_alloc_delta(comm, 999), 0u);
 }
 
 }  // namespace

@@ -1,12 +1,16 @@
 // Memory daemon (Algorithm 1): serialized order, WAR-hazard avoidance,
-// epoch resets, and concurrency stress — re-verified under the
-// zero-copy protocol (trainer-owned slice/write buffers lent to the
-// daemon through pointer-carrying slots).
+// epoch resets, concurrency stress, and abort teardown — re-verified
+// under the zero-copy protocol (trainer-owned slice/write buffers lent
+// to the daemon through pointer-carrying slots).
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstring>
+#include <numeric>
 #include <thread>
 
+#include "distributed/fabric_error.hpp"
 #include "memory/daemon.hpp"
 
 namespace disttgl {
@@ -333,6 +337,71 @@ TEST(Daemon, ZeroSpinBudgetCompletes) {
   daemon.join();
   // Rank 3's last write (round 19) must land; completion is the point.
   EXPECT_FLOAT_EQ(state.read(std::vector<NodeId>{3}).mem(0, 0), 19.0f);
+}
+
+// Abort teardown with requests in flight: each trainer lends a fresh
+// slice (or write) per request and frees it as soon as the request
+// throws. A trainer must not get its kAborted before the daemon thread
+// has let go of the lent buffers; under -DDISTTGL_SANITIZE=thread an
+// early throw shows as the slice's free racing the daemon's gather.
+TEST(Daemon, AbortWithRequestsInFlightUnwindsAfterDaemonLetsGo) {
+  constexpr std::size_t kTrainers = 4;
+  constexpr std::size_t kNodes = 1024;
+  constexpr std::size_t kRepeats = 200;
+  MemoryState state(kNodes, 16, 16);
+  std::vector<NodeId> nodes(kNodes);
+  std::iota(nodes.begin(), nodes.end(), NodeId{0});
+
+  for (std::size_t rep = 0; rep < kRepeats; ++rep) {
+    DaemonConfig cfg;
+    cfg.i = kTrainers;
+    cfg.j = 1;
+    cfg.reset_before_round.assign(1u << 20, 0);  // never runs out
+    MemoryDaemon daemon(state, cfg);
+    daemon.start();
+
+    // Abort once some reads have been served, at staggered offsets into
+    // the traffic that follows (relaxed: the counter must add no
+    // happens-before of its own).
+    std::atomic<std::size_t> reads_done{0};
+    std::thread aborter([&] {
+      while (reads_done.load(std::memory_order_relaxed) < 1 + rep % kTrainers)
+        std::this_thread::yield();
+      std::this_thread::sleep_for(std::chrono::microseconds(rep % 5 * 20));
+      daemon.abort();
+    });
+    run_trainers(kTrainers, [&](std::size_t rank) {
+      try {
+        for (;;) {
+          {
+            MemorySlice slice;
+            daemon.read(rank, nodes, slice);
+          }
+          reads_done.fetch_add(1, std::memory_order_relaxed);
+          daemon.write(rank, make_write(static_cast<NodeId>(rank), 1.0f, 16,
+                                        16, 1.0f));
+        }
+      } catch (const dist::FabricError& e) {
+        EXPECT_EQ(e.code(), dist::FabricErrc::kAborted);
+      }
+    });
+    aborter.join();
+    daemon.join();
+  }
+}
+
+TEST(Daemon, AbortBeforeStartFailsFastTyped) {
+  MemoryState state(4, 2, 2);
+  DaemonConfig cfg;
+  cfg.reset_before_round.assign(1, 0);
+  MemoryDaemon daemon(state, cfg);
+  daemon.abort();
+  try {
+    daemon.read(0, std::vector<NodeId>{0});
+    FAIL() << "read on an aborted daemon must throw";
+  } catch (const dist::FabricError& e) {
+    EXPECT_EQ(e.code(), dist::FabricErrc::kAborted);
+  }
 }
 
 }  // namespace

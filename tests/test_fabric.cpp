@@ -9,13 +9,13 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
-#include <cmath>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <thread>
+#include <tuple>
+#include <utility>
 #include <vector>
-
-#include <functional>
 
 #include "distributed/hier_comm.hpp"
 #include "distributed/launch.hpp"
@@ -42,131 +42,20 @@ std::vector<std::vector<float>> make_payloads(std::size_t ranks,
   return data;
 }
 
-// ThreadComm result for the same inputs — the bit-exactness reference.
-std::vector<float> thread_comm_mean(std::vector<std::vector<float>> data,
-                                    Comm::Options opts) {
-  const std::size_t ranks = data.size();
-  ThreadComm comm(ranks, opts);
-  std::vector<std::thread> threads;
-  for (std::size_t r = 0; r < ranks; ++r)
-    threads.emplace_back([&, r] { comm.allreduce_mean(r, data[r]); });
-  for (auto& t : threads) t.join();
-  return data[0];
-}
-
-TEST(ProcCommFabric, AllreduceMeanBitIdenticalToThreadComm) {
-  for (const std::size_t world : {2u, 4u}) {
-    for (const std::size_t chunk : {0u, 37u}) {
-      const std::size_t size = 500;
-      const auto data = make_payloads(world, size, 3);
-      const Comm::Options opts{.chunk_elems = chunk};
-      const std::vector<float> want = thread_comm_mean(data, opts);
-
-      const std::string prefix = make_session_prefix();
-      {
-        ProcComm owner =
-            ProcComm::create(prefix + ".comm", world, size, opts, kTimeout);
-        const auto payloads = disttgl_launch(
-            world,
-            [&](std::size_t rank) {
-              ProcComm comm =
-                  ProcComm::attach(prefix + ".comm", world, opts, kTimeout);
-              std::vector<float> mine = data[rank];
-              comm.allreduce_mean(rank, mine);
-              WireWriter w;
-              w.put_f32s(mine);
-              return w.take();
-            },
-            kTimeout);
-        for (std::size_t r = 0; r < world; ++r) {
-          WireCursor c(payloads[r]);
-          const std::vector<float> got = c.get_f32s();
-          ASSERT_EQ(got, want) << "world=" << world << " chunk=" << chunk
-                               << " rank=" << r;
-        }
-        // Accounting lives in the segment: the parent's owning handle
-        // observes the children's traffic.
-        EXPECT_EQ(owner.num_allreduces(), 1u);
-        EXPECT_EQ(owner.logical_bytes(),
-                  static_cast<std::uint64_t>(2.0 * (world - 1) / world * size *
-                                             sizeof(float) * world));
-      }
-      EXPECT_TRUE(list_shm(prefix).empty()) << "leaked shm segment";
-    }
+// The bit-exactness reference, computed here rather than by any
+// transport: per element a left fold in double over ranks 0..R-1, times
+// 1/R, rounded once to float.
+std::vector<float> rank_ordered_fold(
+    const std::vector<std::vector<float>>& data) {
+  const double inv = 1.0 / static_cast<double>(data.size());
+  std::vector<float> out(data[0].size());
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    double acc = 0.0;
+    for (const std::vector<float>& row : data)
+      acc += static_cast<double>(row[i]);
+    out[i] = static_cast<float>(acc * inv);
   }
-}
-
-// The fused allreduce→step contract across processes: same toy
-// optimizer as tests/test_comm.cpp, replicas must agree bitwise with the
-// in-process fused run after several rounds.
-struct ToyStep {
-  std::span<float> grads;
-  std::span<float> params;
-};
-
-void toy_chunk_step(void* ctx, std::size_t lo, std::size_t hi, double sq) {
-  auto* s = static_cast<ToyStep*>(ctx);
-  const float norm = static_cast<float>(std::sqrt(sq));
-  const float scale = norm > 0.5f ? 0.5f / norm : 1.0f;
-  for (std::size_t i = lo; i < hi; ++i)
-    s->params[i] -= 0.1f * scale * s->grads[i];
-}
-
-TEST(ProcCommFabric, FusedStepBitIdenticalToThreadComm) {
-  const std::size_t world = 3, size = 131, rounds = 5;
-  const Comm::Options opts{.chunk_elems = 16};
-  const std::vector<float> init = make_payloads(1, size, 21)[0];
-
-  // In-process reference.
-  std::vector<float> want;
-  {
-    ThreadComm comm(world, opts);
-    std::vector<std::vector<float>> params(world, init);
-    std::vector<std::vector<float>> grads(world, std::vector<float>(size));
-    std::vector<std::thread> threads;
-    for (std::size_t r = 0; r < world; ++r) {
-      threads.emplace_back([&, r] {
-        for (std::size_t t = 0; t < rounds; ++t) {
-          grads[r] =
-              make_payloads(world, size, static_cast<std::uint32_t>(t))[r];
-          ToyStep ctx{grads[r], params[r]};
-          comm.allreduce_step(r, grads[r], params[r], &toy_chunk_step, &ctx);
-        }
-      });
-    }
-    for (auto& t : threads) t.join();
-    want = params[0];
-  }
-
-  const std::string prefix = make_session_prefix();
-  {
-    ProcComm owner =
-        ProcComm::create(prefix + ".comm", world, size, opts, kTimeout);
-    const auto payloads = disttgl_launch(
-        world,
-        [&](std::size_t rank) {
-          ProcComm comm =
-              ProcComm::attach(prefix + ".comm", world, opts, kTimeout);
-          std::vector<float> params = init;
-          std::vector<float> grads(size);
-          for (std::size_t t = 0; t < rounds; ++t) {
-            grads = make_payloads(world, size, static_cast<std::uint32_t>(t))
-                        [rank];
-            ToyStep ctx{grads, params};
-            comm.allreduce_step(rank, grads, params, &toy_chunk_step, &ctx);
-          }
-          WireWriter w;
-          w.put_f32s(params);
-          return w.take();
-        },
-        kTimeout);
-    for (std::size_t r = 0; r < world; ++r) {
-      WireCursor c(payloads[r]);
-      ASSERT_EQ(c.get_f32s(), want) << "rank " << r << " replica diverged";
-    }
-    EXPECT_EQ(owner.num_allreduces(), rounds);
-  }
-  EXPECT_TRUE(list_shm(prefix).empty());
+  return out;
 }
 
 TEST(ProcCommFabric, ZeroSpinBudgetCompletes) {
@@ -176,7 +65,7 @@ TEST(ProcCommFabric, ZeroSpinBudgetCompletes) {
   const std::size_t world = 2, size = 64;
   const Comm::Options opts{.wait = WaitPolicy{.spin_polls = 0}};
   const auto data = make_payloads(world, size, 5);
-  const std::vector<float> want = thread_comm_mean(data, opts);
+  const std::vector<float> want = rank_ordered_fold(data);
 
   const std::string prefix = make_session_prefix();
   {
@@ -258,11 +147,15 @@ TEST(HierTopology, TopologyForAgreesWithSpans) {
 // Forked multi-host harness mirroring train_multiprocess's TCP setup:
 // per-host shm segments, a loopback TCP rendezvous, leaders on a real
 // loopback ring. `fn` runs inside each forked rank with its HierComm.
+// `host_counters`, when given, receives each host segment's
+// {num_allreduces(), logical_bytes()} after the ranks exit.
 std::vector<std::vector<std::uint8_t>> run_hier(
     std::size_t world, std::size_t hosts, Comm::Options opts,
     std::size_t max_elems,
     const std::function<std::vector<std::uint8_t>(std::size_t, HierComm&)>&
-        fn) {
+        fn,
+    std::vector<std::pair<std::uint64_t, std::uint64_t>>* host_counters =
+        nullptr) {
   const std::string prefix = make_session_prefix();
   ClusterMap map;
   map.world = static_cast<std::uint32_t>(world);
@@ -307,86 +200,14 @@ std::vector<std::vector<std::uint8_t>> run_hier(
     if (!r.ok)
       throw_fabric(r.errc, "rank " + std::to_string(r.rank) +
                                " failed: " + r.message);
+  if (host_counters != nullptr)
+    for (const ProcComm& owner : owners)
+      host_counters->emplace_back(owner.num_allreduces(),
+                                  owner.logical_bytes());
   std::vector<std::vector<std::uint8_t>> payloads;
   payloads.reserve(world);
   for (ChildResult& r : results) payloads.push_back(std::move(r.payload));
   return payloads;
-}
-
-TEST(HierCommFabric, AllreduceMeanBitIdenticalToThreadComm) {
-  struct Cell {
-    std::size_t world, hosts;
-  };
-  for (const Cell cell : {Cell{4, 2}, Cell{5, 2}, Cell{4, 4}, Cell{3, 1}}) {
-    for (const std::size_t chunk : {0u, 37u}) {
-      const std::size_t size = 500;
-      const auto data = make_payloads(cell.world, size, 9);
-      const Comm::Options opts{.chunk_elems = chunk};
-      const std::vector<float> want = thread_comm_mean(data, opts);
-
-      const auto payloads = run_hier(
-          cell.world, cell.hosts, opts, size,
-          [&](std::size_t rank, HierComm& comm) {
-            std::vector<float> mine = data[rank];
-            comm.allreduce_mean(rank, mine);
-            WireWriter w;
-            w.put_f32s(mine);
-            return w.take();
-          });
-      for (std::size_t r = 0; r < cell.world; ++r) {
-        WireCursor c(payloads[r]);
-        ASSERT_EQ(c.get_f32s(), want)
-            << "world=" << cell.world << " hosts=" << cell.hosts
-            << " chunk=" << chunk << " rank=" << r;
-      }
-    }
-  }
-}
-
-TEST(HierCommFabric, FusedStepBitIdenticalToThreadComm) {
-  const std::size_t world = 5, hosts = 2, size = 131, rounds = 5;
-  const Comm::Options opts{.chunk_elems = 16};
-  const std::vector<float> init = make_payloads(1, size, 21)[0];
-
-  // In-process reference (same toy optimizer as the ProcComm test).
-  std::vector<float> want;
-  {
-    ThreadComm comm(world, opts);
-    std::vector<std::vector<float>> params(world, init);
-    std::vector<std::vector<float>> grads(world, std::vector<float>(size));
-    std::vector<std::thread> threads;
-    for (std::size_t r = 0; r < world; ++r) {
-      threads.emplace_back([&, r] {
-        for (std::size_t t = 0; t < rounds; ++t) {
-          grads[r] =
-              make_payloads(world, size, static_cast<std::uint32_t>(t))[r];
-          ToyStep ctx{grads[r], params[r]};
-          comm.allreduce_step(r, grads[r], params[r], &toy_chunk_step, &ctx);
-        }
-      });
-    }
-    for (auto& t : threads) t.join();
-    want = params[0];
-  }
-
-  const auto payloads = run_hier(
-      world, hosts, opts, size, [&](std::size_t rank, HierComm& comm) {
-        std::vector<float> params = init;
-        std::vector<float> grads(size);
-        for (std::size_t t = 0; t < rounds; ++t) {
-          grads =
-              make_payloads(world, size, static_cast<std::uint32_t>(t))[rank];
-          ToyStep ctx{grads, params};
-          comm.allreduce_step(rank, grads, params, &toy_chunk_step, &ctx);
-        }
-        WireWriter w;
-        w.put_f32s(params);
-        return w.take();
-      });
-  for (std::size_t r = 0; r < world; ++r) {
-    WireCursor c(payloads[r]);
-    ASSERT_EQ(c.get_f32s(), want) << "rank " << r << " replica diverged";
-  }
 }
 
 TEST(HierCommFabric, AccountingMatchesThreadCommConvention) {
@@ -394,58 +215,120 @@ TEST(HierCommFabric, AccountingMatchesThreadCommConvention) {
   // ring_bytes formula — so the parent's owning handle for host 0 sees
   // exactly what a ThreadComm/ProcComm of the same world would report.
   const std::size_t world = 4, hosts = 2, size = 256;
-  const Comm::Options opts{};
   const auto data = make_payloads(world, size, 2);
-
-  const std::string prefix = make_session_prefix();
-  ClusterMap map;
-  map.world = static_cast<std::uint32_t>(world);
-  map.session_prefix = prefix;
-  map.bind_host = "127.0.0.1";
-  std::vector<ProcComm> owners;
-  for (std::size_t h = 0; h < hosts; ++h) {
-    const auto [begin, end] = host_span(h, world, hosts);
-    const std::string name = prefix + ".hc" + std::to_string(h);
-    owners.push_back(
-        ProcComm::create(name, end - begin, size, opts, kTimeout));
-    map.host_comm_shms.push_back(name);
-    map.spans.push_back({static_cast<std::uint32_t>(begin),
-                         static_cast<std::uint32_t>(end), 0});
-  }
-  std::uint16_t rdv_port = 0;
-  FdHandle listener = tcp_listen("127.0.0.1", 0, 16, rdv_port);
-  ProcGroup group = ProcGroup::spawn(world, [&](std::size_t rank) {
-    const auto topo = HierComm::topology_for(rank, world, hosts);
-    FdHandle ring_listen;
-    std::uint16_t ring_port = 0;
-    if (topo.local_rank == 0)
-      ring_listen = tcp_listen("127.0.0.1", 0, 16, ring_port);
-    const ClusterMap m = tcp_rendezvous_client(
-        "127.0.0.1", rdv_port, static_cast<std::uint32_t>(world),
-        static_cast<std::uint32_t>(rank), ring_port, kTimeout);
-    ProcComm local = ProcComm::attach(m.host_comm_shms[topo.host],
-                                      topo.local_world, opts, kTimeout);
-    RingEndpoints ring;
-    if (topo.local_rank == 0)
-      ring = connect_ring(ring_listen.get(), m, topo.host,
-                          deadline_after(kTimeout), true);
-    ring_listen.reset();
-    HierComm comm(std::move(local), topo, std::move(ring), kTimeout);
-    std::vector<float> mine = data[rank];
-    comm.allreduce_mean(rank, mine);
-    return std::vector<std::uint8_t>{};
-  });
-  tcp_rendezvous_host(listener.get(), map, kTimeout);
-  for (const ChildResult& r : group.wait(kTimeout))
-    ASSERT_TRUE(r.ok) << "rank " << r.rank << ": " << r.message;
-
-  EXPECT_EQ(owners[0].num_allreduces(), 1u);
-  EXPECT_EQ(owners[0].logical_bytes(),
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> counters;
+  run_hier(
+      world, hosts, Comm::Options{}, size,
+      [&](std::size_t rank, HierComm& comm) {
+        std::vector<float> mine = data[rank];
+        comm.allreduce_mean(rank, mine);
+        return std::vector<std::uint8_t>{};
+      },
+      &counters);
+  ASSERT_EQ(counters.size(), hosts);
+  EXPECT_EQ(counters[0].first, 1u);
+  EXPECT_EQ(counters[0].second,
             static_cast<std::uint64_t>(2.0 * (world - 1) / world * size *
                                        sizeof(float) * world));
   // Host 1's segment carries no global counters (rank 0 lives on host 0).
-  EXPECT_EQ(owners[1].num_allreduces(), 0u);
+  EXPECT_EQ(counters[1].first, 0u);
 }
+
+// ---- one cross-transport table --------------------------------------------
+
+// Every transport runs the same engine (Comm::allreduce_mean) over its
+// own memory and barrier, so each must land bit for bit on the
+// rank-ordered fold, for empty, tiny, odd and multi-chunk payloads and
+// any chunk option. Host 0's counters must read one call of ring
+// traffic over the global world.
+enum class Transport { kThread, kProc, kHier1, kHier2, kHier3 };
+constexpr std::size_t kTableWorld = 4;
+
+using TableCase = std::tuple<Transport, std::size_t, std::size_t>;
+
+std::string table_case_name(const ::testing::TestParamInfo<TableCase>& info) {
+  static const char* const kNames[] = {"Thread", "Proc", "Hier1host",
+                                       "Hier2hosts", "Hier3hosts"};
+  const auto [transport, size, chunk] = info.param;
+  return std::string(kNames[static_cast<int>(transport)]) + "_size" +
+         std::to_string(size) + "_chunk" + std::to_string(chunk);
+}
+
+std::vector<std::uint8_t> allreduce_and_encode(Comm& comm, std::size_t rank,
+                                               std::vector<float> mine) {
+  comm.allreduce_mean(rank, mine);
+  WireWriter w;
+  w.put_f32s(mine);
+  return w.take();
+}
+
+class CommTransportTable : public ::testing::TestWithParam<TableCase> {};
+
+TEST_P(CommTransportTable, AllreduceMeanBitIdenticalToRankOrderedFold) {
+  const auto [transport, size, chunk] = GetParam();
+  const std::size_t world = kTableWorld;
+  const auto data = make_payloads(world, size, 9);
+  const Comm::Options opts{.chunk_elems = chunk};
+  const std::string prefix = make_session_prefix();
+
+  std::vector<std::vector<std::uint8_t>> payloads(world);
+  std::pair<std::uint64_t, std::uint64_t> host0;  // {calls, bytes}
+  if (transport == Transport::kThread) {
+    ThreadComm comm(world, opts);
+    std::vector<std::thread> threads;
+    for (std::size_t r = 0; r < world; ++r)
+      threads.emplace_back(
+          [&, r] { payloads[r] = allreduce_and_encode(comm, r, data[r]); });
+    for (auto& t : threads) t.join();
+    host0 = {comm.num_allreduces(), comm.logical_bytes()};
+  } else if (transport == Transport::kProc) {
+    ProcComm owner =
+        ProcComm::create(prefix + ".comm", world, size, opts, kTimeout);
+    payloads = disttgl_launch(
+        world,
+        [&](std::size_t rank) {
+          ProcComm comm =
+              ProcComm::attach(prefix + ".comm", world, opts, kTimeout);
+          return allreduce_and_encode(comm, rank, data[rank]);
+        },
+        kTimeout);
+    host0 = {owner.num_allreduces(), owner.logical_bytes()};
+  } else {
+    const std::size_t hosts = static_cast<std::size_t>(transport) -
+                              static_cast<std::size_t>(Transport::kHier1) + 1;
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> counters;
+    payloads = run_hier(
+        world, hosts, opts, size,
+        [&](std::size_t rank, HierComm& comm) {
+          return allreduce_and_encode(comm, rank, data[rank]);
+        },
+        &counters);
+    host0 = counters.at(0);
+  }
+
+  const std::vector<float> want = rank_ordered_fold(data);
+  for (std::size_t r = 0; r < world; ++r) {
+    WireCursor c(payloads[r]);
+    ASSERT_EQ(c.get_f32s(), want) << "rank " << r;
+  }
+  EXPECT_EQ(host0.first, 1u);
+  EXPECT_EQ(host0.second,
+            static_cast<std::uint64_t>(2.0 * (world - 1) / world * size *
+                                       sizeof(float) * world));
+  EXPECT_TRUE(list_shm(prefix).empty()) << "leaked shm segment";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Table, CommTransportTable,
+    ::testing::Combine(::testing::Values(Transport::kThread, Transport::kProc,
+                                         Transport::kHier1, Transport::kHier2,
+                                         Transport::kHier3),
+                       ::testing::Values(std::size_t{0}, std::size_t{1},
+                                         kTableWorld - 1, std::size_t{1000},
+                                         std::size_t{4097}),
+                       ::testing::Values(std::size_t{0}, std::size_t{1},
+                                         std::size_t{37})),
+    table_case_name);
 
 // ---- TCP endpoint + deadline plumbing ------------------------------------
 

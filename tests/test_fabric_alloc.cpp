@@ -11,7 +11,6 @@
 #include <chrono>
 #include <cstdlib>
 #include <new>
-#include <span>
 #include <thread>
 #include <vector>
 
@@ -61,41 +60,23 @@ constexpr std::size_t kWarm = 3;
 constexpr std::size_t kMeasured = 12;
 constexpr std::chrono::milliseconds kTimeout{30'000};
 
-struct ToyStep {
-  std::span<float> grads;
-  std::span<float> params;
-};
-
-void toy_chunk_step(void* ctx, std::size_t lo, std::size_t hi, double sq) {
-  auto* s = static_cast<ToyStep*>(ctx);
-  const float scale = sq > 0.0 ? 0.1f : 0.2f;
-  for (std::size_t i = lo; i < hi; ++i) s->params[i] -= scale * s->grads[i];
-}
-
 // Two rank handles over one segment, driven by two threads in this
 // process — the shm data plane is address-space agnostic, so in-process
 // clients measure exactly what forked clients would execute, where the
 // counting allocator can actually observe them.
 std::size_t proc_comm_alloc_delta(ProcComm& rank0, ProcComm& rank1,
-                                  std::size_t size, bool fused) {
+                                  std::size_t size) {
   std::vector<std::vector<float>> grads(2, std::vector<float>(size, 0.5f));
-  std::vector<std::vector<float>> params(2, std::vector<float>(size, 1.0f));
   std::atomic<std::size_t> before{0};
   ProcComm* comms[2] = {&rank0, &rank1};
 
   std::vector<std::thread> threads;
   for (std::size_t r = 0; r < 2; ++r) {
     threads.emplace_back([&, r] {
-      ToyStep ctx{grads[r], params[r]};
       for (std::size_t t = 0; t < kWarm + kMeasured; ++t) {
         if (r == 0 && t == kWarm)
           before.store(g_alloc_count.load(), std::memory_order_relaxed);
-        if (fused) {
-          comms[r]->allreduce_step(r, grads[r], params[r], &toy_chunk_step,
-                                   &ctx);
-        } else {
-          comms[r]->allreduce_mean(r, grads[r]);
-        }
+        comms[r]->allreduce_mean(r, grads[r]);
       }
     });
   }
@@ -111,22 +92,8 @@ TEST(FabricAllocationFree, ProcCommAllreduceSteadyState) {
         ProcComm::create(prefix + ".comm", 2, 1000, opts, kTimeout);
     ProcComm rank1 =
         ProcComm::attach(prefix + ".comm", 2, opts, kTimeout);
-    EXPECT_EQ(proc_comm_alloc_delta(rank0, rank1, 999, /*fused=*/false), 0u)
+    EXPECT_EQ(proc_comm_alloc_delta(rank0, rank1, 999), 0u)
         << "steady-state cross-process allreduce_mean allocated";
-  }
-  EXPECT_TRUE(list_shm(prefix).empty());
-}
-
-TEST(FabricAllocationFree, ProcCommFusedStepSteadyState) {
-  const std::string prefix = make_session_prefix();
-  {
-    const Comm::Options opts{.chunk_elems = 256};
-    ProcComm rank0 =
-        ProcComm::create(prefix + ".comm", 2, 4096, opts, kTimeout);
-    ProcComm rank1 =
-        ProcComm::attach(prefix + ".comm", 2, opts, kTimeout);
-    EXPECT_EQ(proc_comm_alloc_delta(rank0, rank1, 4096, /*fused=*/true), 0u)
-        << "steady-state cross-process allreduce_step allocated";
   }
   EXPECT_TRUE(list_shm(prefix).empty());
 }

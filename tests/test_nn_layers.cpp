@@ -254,37 +254,6 @@ TEST(Module, FreezeFlatStoragePreservesValuesAndAliases) {
   EXPECT_EQ(params[0]->grad.data()[0], 0.0f);
 }
 
-TEST(Adam, StepRangeMatchesFullStepOnFlatStorage) {
-  Rng rng_a(5);
-  Rng rng_b(5);
-  TwoLayer ma(rng_a), mb(rng_b);
-  ma.freeze_flat_storage();
-  mb.freeze_flat_storage();
-  nn::AdamOptions opts{.lr = 1e-2f, .weight_decay = 1e-3f};
-  nn::Adam oa(ma.parameters(), opts), ob(mb.parameters(), opts);
-  ASSERT_EQ(oa.num_elements(), ma.flat_values().size());
-
-  Rng grng(77);
-  for (int iter = 0; iter < 5; ++iter) {
-    for (std::size_t i = 0; i < ma.flat_grads().size(); ++i) {
-      const float g = static_cast<float>(grng.normal());
-      ma.flat_grads()[i] = g;
-      mb.flat_grads()[i] = g;
-    }
-    oa.step();
-    // Odd-sized chunks, out of order — must not matter.
-    ob.begin_step();
-    const std::size_t total = ob.num_elements();
-    const std::size_t cut1 = total / 3, cut2 = 2 * total / 3 + 1;
-    ob.step_range(cut2, total);
-    ob.step_range(0, cut1);
-    ob.step_range(cut1, cut2);
-    for (std::size_t i = 0; i < total; ++i)
-      ASSERT_EQ(ma.flat_values()[i], mb.flat_values()[i])
-          << "iter " << iter << " element " << i;
-  }
-}
-
 TEST(Loss, LinkPredictionDirection) {
   // High positive score + low negative score ⇒ small loss.
   Matrix good_pos(2, 1, {5.0f, 6.0f}), good_neg(2, 2, {-5.0f, -6.0f, -4.0f, -7.0f});
