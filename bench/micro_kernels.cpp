@@ -17,6 +17,7 @@
 #include "memory/memory_state.hpp"
 #include "nn/attention.hpp"
 #include "nn/gru_cell.hpp"
+#include "nn/time_encoding.hpp"
 #include "sampling/minibatch.hpp"
 #include "tensor/ops.hpp"
 #include "util/rng.hpp"
@@ -211,6 +212,66 @@ void BM_TemporalAttention(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_TemporalAttention)->Arg(200)->Arg(600);
+
+// The training step's shape on the mooc-like workload: 3600 roots with
+// K = 10 neighbour slots, Δt drawn from [0, 2.6e5] (the time encoding
+// reaches libm's large-argument path) and each window's tail padded
+// with Δt = +0, as the sampler leaves it.
+constexpr std::size_t kStepRoots = 3600, kStepK = 10;
+
+void step_deltas(Rng& rng, std::vector<float>& dt,
+                 std::vector<std::size_t>& valid) {
+  valid.resize(kStepRoots);
+  dt.assign(kStepRoots * kStepK, 0.0f);
+  for (std::size_t r = 0; r < kStepRoots; ++r) {
+    valid[r] = 1 + rng.uniform_int(kStepK);
+    for (std::size_t k = 0; k < valid[r]; ++k)
+      dt[r * kStepK + k] = static_cast<float>(rng.uniform(0.0, 2.6e5));
+  }
+}
+
+void BM_TimeEncoding(benchmark::State& state) {  // forward + backward
+  Rng rng(6);
+  std::vector<float> dt;
+  std::vector<std::size_t> valid;
+  step_deltas(rng, dt, valid);
+  nn::TimeEncoding enc("t", 4);
+  nn::TimeEncoding::Ctx ctx;
+  Matrix phi, dphi = random_matrix(dt.size(), 4, rng);
+  for (auto _ : state) {
+    enc.forward_into(dt, &ctx, phi);
+    enc.backward(ctx, dphi);
+    benchmark::DoNotOptimize(phi.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * dt.size());
+}
+BENCHMARK(BM_TimeEncoding);
+
+void BM_TemporalAttentionStep(benchmark::State& state) {  // fwd + bwd
+  Rng rng(7);
+  std::vector<float> dt;
+  std::vector<std::size_t> valid;
+  step_deltas(rng, dt, valid);
+  nn::AttentionDims dims{.node_dim = 8, .edge_dim = 0, .time_dim = 4,
+                         .attn_dim = 8, .out_dim = 8, .num_heads = 2,
+                         .max_neighbors = kStepK};
+  nn::TemporalAttention attn("a", dims, rng);
+  Matrix node = random_matrix(kStepRoots, 8, rng);
+  Matrix neigh = random_matrix(kStepRoots * kStepK, 8, rng);
+  Matrix edge(kStepRoots * kStepK, 0);
+  Matrix dout = random_matrix(kStepRoots, 8, rng);
+  nn::TemporalAttention::Ctx ctx;
+  nn::TemporalAttention::InputGrads grads;
+  for (auto _ : state) {
+    attn.forward(node, neigh, edge, dt, valid, &ctx);
+    attn.backward_into(ctx, dout, grads);
+    benchmark::DoNotOptimize(grads.dneigh_repr.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * kStepRoots);
+}
+BENCHMARK(BM_TemporalAttentionStep);
 
 void BM_MiniBatchBuild(benchmark::State& state) {
   datagen::SynthSpec spec;

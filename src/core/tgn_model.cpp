@@ -65,19 +65,21 @@ const Matrix& TGNModel::embed(const MiniBatch& mb, const MemorySlice& slice,
   }
   ctx.s_new = slice.mem;  // nodes without mail keep their memory
   if (!ctx.gru_rows.empty()) {
-    Matrix& mail_rows = ws.mat(0, 0);
-    slice.mail.gather_rows_into(ctx.gru_rows, mail_rows);
+    // gru_in = {mail || Φ(mail_ts − mem_ts)}, Φ written in place.
+    const std::size_t G = ctx.gru_rows.size();
+    DT_CHECK_EQ(slice.mail.cols(), mail_raw_dim_);
+    Matrix& gru_in = ws.mat(G, mail_raw_dim_ + cfg_.time_dim);
     Matrix& mem_rows = ws.mat(0, 0);
     slice.mem.gather_rows_into(ctx.gru_rows, mem_rows);
-    std::vector<float>& dts = ws.floats(ctx.gru_rows.size());
-    for (std::size_t r = 0; r < ctx.gru_rows.size(); ++r) {
+    std::vector<float>& dts = ws.floats(G);
+    for (std::size_t r = 0; r < G; ++r) {
       const std::size_t u = ctx.gru_rows[r];
+      std::memcpy(gru_in.row_ptr(r), slice.mail.row_ptr(u),
+                  mail_raw_dim_ * sizeof(float));
       dts[r] = slice.mail_ts[u] - slice.mem_ts[u];
     }
-    Matrix& phi = ws.mat(0, 0);
-    mail_time_enc_.forward_into(dts, &ctx.mail_time_ctx, phi, pool);
-    Matrix& gru_in = ws.mat(0, 0);
-    concat_cols_into({&mail_rows, &phi}, gru_in, pool);
+    mail_time_enc_.forward_cols(dts, &ctx.mail_time_ctx, gru_in,
+                                mail_raw_dim_, pool);
     Matrix& updated = ws.mat(0, 0);
     updater_.forward_into(gru_in, mem_rows, ctx.gru_ctx, updated, pool);
     ctx.s_new.scatter_rows(ctx.gru_rows, updated);

@@ -1,7 +1,9 @@
 #include "nn/attention.hpp"
 
 #include <cmath>
+#include <cstring>
 
+#include "tensor/gemm.hpp"
 #include "tensor/ops.hpp"
 #include "util/thread_pool.hpp"
 
@@ -29,6 +31,44 @@ TemporalAttention::TemporalAttention(std::string name, const AttentionDims& dims
   DT_CHECK_GT(dims.max_neighbors, 0u);
 }
 
+void TemporalAttention::project_kv(Ctx& ctx, ThreadPool* pool) const {
+  const Matrix& x = ctx.kv_in;
+  const std::size_t m = x.rows(), in = x.cols(), da = dims_.attn_dim;
+  const Matrix& wk = wk_.weight().value;
+  const Matrix& wv = wv_.weight().value;
+  ctx.wkv.reset_shape(in, 2 * da);
+  for (std::size_t p = 0; p < in; ++p) {
+    std::memcpy(ctx.wkv.row_ptr(p), wk.row_ptr(p), da * sizeof(float));
+    std::memcpy(ctx.wkv.row_ptr(p) + da, wv.row_ptr(p), da * sizeof(float));
+  }
+  ctx.bkv.reset_shape(1, 2 * da);
+  std::memcpy(ctx.bkv.row_ptr(0), wk_.bias().value.row_ptr(0),
+              da * sizeof(float));
+  std::memcpy(ctx.bkv.row_ptr(0) + da, wv_.bias().value.row_ptr(0),
+              da * sizeof(float));
+
+  // Every element of a product sums its k terms in the same order at
+  // any panel width, so [K | V] equals two da-wide products bit for bit
+  // — as long as both run on the same path. A product twice as wide
+  // can cross kGemmSmallFlops while each half would stay below it, so a
+  // small half is computed as its own small product.
+  ctx.kv.reset_shape(m, 2 * da);
+  const auto product = [&](std::size_t col0, std::size_t cols) {
+    kernel::gemm(kernel::Layout::kNormal, kernel::Layout::kNormal, m, cols,
+                 in, x.data(), in, ctx.wkv.data() + col0, 2 * da,
+                 ctx.kv.data() + col0, 2 * da, /*accumulate=*/false, pool);
+  };
+  if (m * da * in < kernel::kGemmSmallFlops) {
+    product(0, da);
+    product(da, da);
+  } else {
+    product(0, 2 * da);
+  }
+  add_bias_inplace(ctx.kv, ctx.bkv, pool);
+  ctx.k_ctx.input = &x;
+  ctx.v_ctx.input = &x;
+}
+
 const Matrix& TemporalAttention::forward(const Matrix& node_repr,
                                          const Matrix& neigh_repr,
                                          const Matrix& edge_feat,
@@ -49,18 +89,22 @@ const Matrix& TemporalAttention::forward(const Matrix& node_repr,
 
   // Query: {s_v || Φ(0)}.
   ctx->dt0.assign(n, 0.0f);
-  time_enc_.forward_into(ctx->dt0, &ctx->t0_ctx, ctx->phi0, pool);
-  concat_cols_into({&node_repr, &ctx->phi0}, ctx->q_in, pool);
+  concat_cols_into({&node_repr}, ctx->q_in, pool, dims_.time_dim);
+  time_enc_.forward_cols(ctx->dt0, &ctx->t0_ctx, ctx->q_in, dims_.node_dim,
+                         pool);
   wq_.forward_into(ctx->q_in, &ctx->q_ctx, ctx->q, pool);
 
   // Keys/values: {S_w || E_vw || Φ(Δt)}.
-  time_enc_.forward_into(dt, &ctx->tdt_ctx, ctx->phidt, pool);
   if (dims_.edge_dim > 0)
-    concat_cols_into({&neigh_repr, &edge_feat, &ctx->phidt}, ctx->kv_in, pool);
+    concat_cols_into({&neigh_repr, &edge_feat}, ctx->kv_in, pool,
+                     dims_.time_dim);
   else
-    concat_cols_into({&neigh_repr, &ctx->phidt}, ctx->kv_in, pool);
-  wk_.forward_into(ctx->kv_in, &ctx->k_ctx, ctx->k, pool);
-  wv_.forward_into(ctx->kv_in, &ctx->v_ctx, ctx->v, pool);
+    concat_cols_into({&neigh_repr}, ctx->kv_in, pool, dims_.time_dim);
+  time_enc_.forward_cols(dt, &ctx->tdt_ctx, ctx->kv_in,
+                         dims_.node_dim + dims_.edge_dim, pool);
+  project_kv(*ctx, pool);
+  const Matrix& kv = ctx->kv;
+  const std::size_t da = dims_.attn_dim;
 
   // Per-head scaled dot-product with masked softmax over valid slots,
   // one root at a time: a root's scores, weights and aggregate depend
@@ -68,7 +112,7 @@ const Matrix& TemporalAttention::forward(const Matrix& node_repr,
   ctx->alpha.resize(H);
   for (Matrix& alpha : ctx->alpha) alpha.reset_shape(n, K);
   ctx->scores.reset_shape(n, K);
-  ctx->h_att.resize(n, dims_.attn_dim, 0.0f);
+  ctx->h_att.resize(n, da, 0.0f);
   const auto attend = [&](std::size_t r0, std::size_t r1) {
     for (std::size_t r = r0; r < r1; ++r) {
       const float scale = root_scale(valid[r]);
@@ -77,7 +121,7 @@ const Matrix& TemporalAttention::forward(const Matrix& node_repr,
         const std::size_t off = h * dh;
         const float* qrow = ctx->q.row_ptr(r) + off;
         for (std::size_t k = 0; k < valid[r]; ++k) {
-          const float* krow = ctx->k.row_ptr(r * K + k) + off;
+          const float* krow = kv.row_ptr(r * K + k) + off;
           float acc = 0.0f;
           for (std::size_t c = 0; c < dh; ++c) acc += qrow[c] * krow[c];
           srow[k] = acc * scale;
@@ -86,7 +130,7 @@ const Matrix& TemporalAttention::forward(const Matrix& node_repr,
         masked_softmax_row(srow, valid[r], K, arow);
         float* hrow = ctx->h_att.row_ptr(r) + off;
         for (std::size_t k = 0; k < valid[r]; ++k) {
-          const float* vrow = ctx->v.row_ptr(r * K + k) + off;
+          const float* vrow = kv.row_ptr(r * K + k) + da + off;
           const float a = arow[k];
           for (std::size_t c = 0; c < dh; ++c) hrow[c] += a * vrow[c];
         }
@@ -141,7 +185,7 @@ void TemporalAttention::backward_into(Ctx& ctx, const Matrix& dout,
       const float* arow = alpha.row_ptr(r);
       float* darow = ctx.dalpha.row_ptr(r);
       for (std::size_t k = 0; k < ctx.valid[r]; ++k) {
-        const float* vrow = ctx.v.row_ptr(r * K + k) + off;
+        const float* vrow = ctx.kv.row_ptr(r * K + k) + da + off;
         float* dvrow = ctx.dv.row_ptr(r * K + k) + off;
         float acc = 0.0f;
         for (std::size_t c = 0; c < dh; ++c) {
@@ -159,7 +203,7 @@ void TemporalAttention::backward_into(Ctx& ctx, const Matrix& dout,
       const float* dsrow = ctx.dscores.row_ptr(r);
       for (std::size_t k = 0; k < ctx.valid[r]; ++k) {
         const float ds = dsrow[k] * scale;
-        const float* krow = ctx.k.row_ptr(r * K + k) + off;
+        const float* krow = ctx.kv.row_ptr(r * K + k) + off;
         float* dkrow = ctx.dk.row_ptr(r * K + k) + off;
         for (std::size_t c = 0; c < dh; ++c) {
           dqrow[c] += ds * krow[c];
@@ -178,7 +222,8 @@ void TemporalAttention::backward_into(Ctx& ctx, const Matrix& dout,
   }
   time_enc_.backward_cols(ctx.t0_ctx, ctx.dq_in, dn);
 
-  // Key/value projection path: kv_in = {S_w || E_vw || Φ(Δt)}.
+  // Key/value projection path: kv_in = {S_w || E_vw || Φ(Δt)}; W_k and
+  // W_v get their own weight products.
   wk_.backward_into(ctx.k_ctx, ctx.dk, ctx.dkv_in, false, pool);
   wv_.backward_into(ctx.v_ctx, ctx.dv, ctx.dkv_in, /*accumulate_dx=*/true,
                     pool);

@@ -12,6 +12,11 @@
 // r*max_neighbors + k. The per-root 1/sqrt(|N_v|) scaling follows the
 // paper (not the more common 1/sqrt(d_head)).
 //
+// K and V come from one product of {S_w || E_vw || Φ(Δt)} with the
+// packed [W_k | W_v]; W_k and W_v stay separate parameters, and backward
+// runs their two products. Φ is written straight into the trailing
+// columns of the projection inputs.
+//
 // The Ctx owns every intermediate tensor the layer touches, so reusing
 // one Ctx across iterations makes forward and backward allocation-free
 // in steady state (same batch shape → same buffer shapes → capacity
@@ -40,7 +45,12 @@ class TemporalAttention : public Module {
   struct Ctx {
     Linear::Ctx q_ctx, k_ctx, v_ctx, o_ctx;
     TimeEncoding::Ctx t0_ctx, tdt_ctx;
-    Matrix q, k, v;                   // post-projection
+    // Projection inputs {s_v || Φ(0)}, {S_w || E_vw || Φ(Δt)} and
+    // {h_v || s_v}. The Linear Ctxs point at them, so backward reads
+    // them: they must not change between forward and backward.
+    Matrix q_in, kv_in, o_in;
+    Matrix q;                         // post-projection query
+    Matrix kv;                        // [n*K x 2*attn_dim] = [K | V]
     std::vector<Matrix> alpha;        // per head: [n x K] attention weights
     Matrix h_att;                     // pre-output aggregated values
     Matrix out;                       // post-ReLU output (for relu backward)
@@ -48,8 +58,7 @@ class TemporalAttention : public Module {
     std::size_t n = 0;
     // Scratch (not read across the forward/backward boundary):
     std::vector<float> dt0;           // all-zero deltas for Φ(0)
-    Matrix phi0, phidt;               // time encodings
-    Matrix q_in, kv_in, o_in;         // concatenated projection inputs
+    Matrix wkv, bkv;                  // [W_k | W_v] and [b_k | b_v] packs
     Matrix scores;                    // per-head raw attention scores
     Matrix dpre, do_in;               // backward: pre-ReLU grad, W_o input grad
     Matrix dq, dk, dv;                // backward: projection grads
@@ -67,7 +76,8 @@ class TemporalAttention : public Module {
   // dt:         [n*K] time deltas (event time − neighbor memory time)
   // valid:      [n] populated neighbor counts (≤ K)
   // Returns a reference to ctx->out, valid until the next forward call
-  // on the same Ctx. With a `pool`, every stage — time encodings,
+  // on the same Ctx. The inputs are copied into the Ctx and need not
+  // outlive the call. With a `pool`, every stage — time encodings,
   // concats, projections, per-root scores + masked softmax + aggregation,
   // and the output ReLU — splits its rows over it.
   const Matrix& forward(const Matrix& node_repr, const Matrix& neigh_repr,
@@ -88,6 +98,10 @@ class TemporalAttention : public Module {
   void collect_parameters(std::vector<Parameter*>& out) override;
 
  private:
+  // ctx.kv = ctx.kv_in · [W_k | W_v] + [b_k | b_v], bit-identical to the
+  // two separate projections; points k_ctx and v_ctx at kv_in.
+  void project_kv(Ctx& ctx, ThreadPool* pool) const;
+
   AttentionDims dims_;
   Linear wq_, wk_, wv_, wo_;
   TimeEncoding time_enc_;

@@ -25,8 +25,7 @@ void Linear::forward_into(const Matrix& x, Ctx* ctx, Matrix& y,
   DT_CHECK_EQ(x.cols(), w_.value.rows());
   matmul_into(x, w_.value, y, pool);
   if (has_bias_) add_bias_inplace(y, b_.value, pool);
-  // Capacity-reusing copy, rows split over the pool like the product.
-  if (ctx != nullptr) concat_cols_into({&x}, ctx->input, pool);
+  if (ctx != nullptr) ctx->input = &x;
 }
 
 Matrix Linear::backward(const Ctx& ctx, const Matrix& dy) {
@@ -38,8 +37,9 @@ Matrix Linear::backward(const Ctx& ctx, const Matrix& dy) {
 void Linear::backward_into(const Ctx& ctx, const Matrix& dy, Matrix& dx,
                            bool accumulate_dx, ThreadPool* pool) {
   DT_CHECK_EQ(dy.cols(), w_.value.cols());
-  DT_CHECK_EQ(dy.rows(), ctx.input.rows());
-  matmul_tn_acc(ctx.input, dy, w_.grad, pool);
+  DT_CHECK(ctx.input != nullptr);
+  DT_CHECK_EQ(dy.rows(), ctx.input->rows());
+  matmul_tn_acc(*ctx.input, dy, w_.grad, pool);
   if (has_bias_) column_sums_acc(dy, b_.grad);
   if (accumulate_dx) matmul_nt_acc(dy, w_.value, dx, pool);  // dx += dy Wᵀ
   else matmul_nt_into(dy, w_.value, dx, pool);               // dx = dy Wᵀ

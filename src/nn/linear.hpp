@@ -8,14 +8,16 @@ namespace disttgl::nn {
 
 class Linear : public Module {
  public:
+  // References the caller-owned input instead of copying it: x must
+  // stay alive and unchanged until backward has read it.
   struct Ctx {
-    Matrix input;  // x, cached for the weight gradient.
+    const Matrix* input = nullptr;  // x, read by the weight gradient.
   };
 
   Linear(std::string name, std::size_t in_dim, std::size_t out_dim, Rng& rng,
          bool bias = true);
 
-  // y = xW + b. If `ctx` is non-null the input is cached for backward.
+  // y = xW + b. If `ctx` is non-null it records x for backward.
   Matrix forward(const Matrix& x, Ctx* ctx = nullptr) const;
   // Allocation-free form: y is reshaped in place (capacity-reusing).
   // With a `pool`, the product and bias add split x's rows over it.
@@ -37,6 +39,8 @@ class Linear : public Module {
 
   Parameter& weight() { return w_; }
   Parameter& bias() { return b_; }
+  const Parameter& weight() const { return w_; }
+  const Parameter& bias() const { return b_; }
   bool has_bias() const { return has_bias_; }
 
  private:

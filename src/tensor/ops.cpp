@@ -89,7 +89,7 @@ void matmul_tn_acc(const Matrix& a, const Matrix& b, Matrix& c,
 }
 
 void concat_cols_into(std::initializer_list<const Matrix*> parts, Matrix& out,
-                      ThreadPool* pool) {
+                      ThreadPool* pool, std::size_t spare) {
   const std::size_t rows = (*parts.begin())->rows();
   std::size_t cols = 0;
   for (const Matrix* p : parts) {
@@ -97,7 +97,7 @@ void concat_cols_into(std::initializer_list<const Matrix*> parts, Matrix& out,
     DT_CHECK(p != &out);
     cols += p->cols();
   }
-  out.reset_shape(rows, cols);
+  out.reset_shape(rows, cols + spare);
   parallel_rows(pool, rows, cols, [&](std::size_t r0, std::size_t r1) {
     for (std::size_t r = r0; r < r1; ++r) {
       float* dst = out.row_ptr(r);

@@ -55,9 +55,11 @@ void matmul_tn_acc(const Matrix& a, const Matrix& b, Matrix& c,
 // ---- row assembly ----
 
 // out = {parts[0] || parts[1] || ...} column-wise: every part must have
-// out's row count. Allocation-free (out is reshaped in place).
+// out's row count. Allocation-free (out is reshaped in place). With
+// `spare` > 0, out gets that many more trailing columns, left unwritten
+// for the caller to fill in place (TimeEncoding::forward_cols).
 void concat_cols_into(std::initializer_list<const Matrix*> parts, Matrix& out,
-                      ThreadPool* pool = nullptr);
+                      ThreadPool* pool = nullptr, std::size_t spare = 0);
 
 // ---- bias / reductions ----
 

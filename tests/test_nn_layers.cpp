@@ -2,7 +2,11 @@
 // optimizer dynamics, parameter flattening.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <memory>
+#include <string>
 
 #include "nn/attention.hpp"
 #include "nn/gru_cell.hpp"
@@ -12,6 +16,7 @@
 #include "nn/time_encoding.hpp"
 #include "tensor/ops.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace disttgl {
 namespace {
@@ -264,6 +269,334 @@ TEST(Loss, LinkPredictionDirection) {
   EXPECT_LT(good, 0.1f);
   EXPECT_GT(bad, 2.0f);
 }
+
+// ---- exactness pins: the attention input path keeps every bit ----------
+//
+// The references below are the per-element formulas the layers are
+// defined by: one std::cos per forward element, std::sin recomputed in
+// backward, and K and V from two separate Linear projections. The
+// layers compute the same values with less work and must match them bit
+// for bit (compared as bit patterns, so -0 and NaN count).
+
+bool same_bits(float a, float b) {
+  return std::bit_cast<std::uint32_t>(a) == std::bit_cast<std::uint32_t>(b);
+}
+
+::testing::AssertionResult bits_equal(const Matrix& a, const Matrix& b) {
+  if (a.rows() != b.rows() || a.cols() != b.cols())
+    return ::testing::AssertionFailure()
+           << "shape " << a.rows() << "x" << a.cols() << " vs " << b.rows()
+           << "x" << b.cols();
+  for (std::size_t i = 0; i < a.size(); ++i)
+    if (!same_bits(a.data()[i], b.data()[i]))
+      return ::testing::AssertionFailure()
+             << "element " << i << ": " << a.data()[i] << " vs " << b.data()[i];
+  return ::testing::AssertionSuccess();
+}
+
+// ω/φ as training leaves them: signs mixed, φ of both zero signs.
+void set_trained_time_params(nn::TimeEncoding& enc) {
+  const float omega[] = {1.0f, -0.37f, 2.5e-3f, -1.0e-4f, 0.8f, -3.3f};
+  const float phi[] = {0.0f, -0.0f, 0.7f, -1.2f, 3.0f, -2.5f};
+  auto params = enc.parameters();
+  for (std::size_t c = 0; c < enc.dim(); ++c) {
+    params[0]->value(0, c) = omega[c % 6];
+    params[1]->value(0, c) = phi[c % 6];
+  }
+}
+
+float ref_phase(nn::TimeEncoding& enc, float dt, std::size_t c) {
+  return dt * enc.parameters()[0]->value(0, c) + enc.parameters()[1]->value(0, c);
+}
+
+// The per-element backward: recompute sin from the phase.
+void ref_time_backward(nn::TimeEncoding& enc, std::span<const float> dt,
+                       const Matrix& dy, std::size_t col0, Matrix& domega,
+                       Matrix& dphi) {
+  for (std::size_t r = 0; r < dt.size(); ++r) {
+    const float* g = dy.row_ptr(r) + col0;
+    for (std::size_t c = 0; c < enc.dim(); ++c) {
+      const float dphase = -std::sin(ref_phase(enc, dt[r], c)) * g[c];
+      domega(0, c) += dphase * dt[r];
+      dphi(0, c) += dphase;
+    }
+  }
+}
+
+const std::vector<float> kPinDeltas = {0.0f, -0.0f, 0.5f, 2.6e5f, -3.0f};
+
+TEST(TimeEncodingExact, ForwardColsWritesOnlyItsColumnsBitExact) {
+  nn::TimeEncoding enc("te", 6);
+  set_trained_time_params(enc);
+  const std::size_t col0 = 2, d = 6, n = kPinDeltas.size();
+  Matrix out(n, col0 + d + 3, 7.0f);
+  nn::TimeEncoding::Ctx ctx;
+  enc.forward_cols(kPinDeltas, &ctx, out, col0);
+  Matrix no_ctx(n, col0 + d + 3, 7.0f);
+  enc.forward_cols(kPinDeltas, nullptr, no_ctx, col0);
+  ASSERT_EQ(ctx.sin.rows(), n);
+  for (std::size_t r = 0; r < n; ++r) {
+    for (std::size_t c = 0; c < out.cols(); ++c) {
+      if (c >= col0 && c < col0 + d) continue;
+      EXPECT_TRUE(same_bits(out(r, c), 7.0f)) << "row " << r << " col " << c;
+    }
+    for (std::size_t c = 0; c < d; ++c) {
+      const float phase = ref_phase(enc, kPinDeltas[r], c);
+      EXPECT_TRUE(same_bits(out(r, col0 + c), std::cos(phase)))
+          << "cos, dt " << kPinDeltas[r] << " col " << c;
+      EXPECT_TRUE(same_bits(ctx.sin(r, c), std::sin(phase)))
+          << "sin, dt " << kPinDeltas[r] << " col " << c;
+    }
+  }
+  EXPECT_TRUE(bits_equal(out, no_ctx));
+}
+
+TEST(TimeEncodingExact, BackwardColsMatchesPerElementReference) {
+  Rng rng(31);
+  nn::TimeEncoding enc("te", 6);
+  set_trained_time_params(enc);
+  const std::size_t col0 = 3;
+  Matrix dy = random_matrix(kPinDeltas.size(), col0 + 6 + 2, rng);
+  Matrix phi(kPinDeltas.size(), col0 + 6);
+  nn::TimeEncoding::Ctx ctx;
+  enc.forward_cols(kPinDeltas, &ctx, phi, col0);
+  // Start from nonzero gradients: backward accumulates.
+  Matrix domega = random_matrix(1, 6, rng), dphi = random_matrix(1, 6, rng);
+  auto params = enc.parameters();
+  params[0]->grad = domega;
+  params[1]->grad = dphi;
+  enc.backward_cols(ctx, dy, col0);
+  ref_time_backward(enc, kPinDeltas, dy, col0, domega, dphi);
+  EXPECT_TRUE(bits_equal(params[0]->grad, domega));
+  EXPECT_TRUE(bits_equal(params[1]->grad, dphi));
+}
+
+TEST(TimeEncodingExact, PooledEqualsSerialWithPaddedZeroRows) {
+  Rng rng(32);
+  nn::TimeEncoding enc("te", 4);
+  set_trained_time_params(enc);
+  std::vector<float> dt(5000);
+  for (std::size_t i = 0; i < dt.size(); ++i)
+    dt[i] = i % 10 >= 7 ? 0.0f : static_cast<float>(rng.uniform(0.0, 2.6e5));
+  nn::TimeEncoding::Ctx serial_ctx, pooled_ctx;
+  Matrix serial, pooled;
+  enc.forward_into(dt, &serial_ctx, serial);
+  ThreadPool pool(3);
+  enc.forward_into(dt, &pooled_ctx, pooled, &pool);
+  EXPECT_TRUE(bits_equal(serial, pooled));
+  EXPECT_TRUE(bits_equal(serial_ctx.sin, pooled_ctx.sin));
+  for (std::size_t r = 0; r < dt.size(); r += 7)
+    for (std::size_t c = 0; c < 4; ++c) {
+      const float phase = ref_phase(enc, dt[r], c);
+      ASSERT_TRUE(same_bits(serial(r, c), std::cos(phase))) << "row " << r;
+      ASSERT_TRUE(same_bits(serial_ctx.sin(r, c), std::sin(phase))) << "row " << r;
+    }
+}
+
+// TemporalAttention as two separate K and V projections and per-element
+// time encodings, with the layer's own weights.
+struct RefAttention {
+  nn::AttentionDims dims;
+  std::vector<std::unique_ptr<nn::Linear>> lin;  // wq, wk, wv, wo
+  Matrix omega, phi, domega, dphi;
+
+  RefAttention(nn::TemporalAttention& attn, Rng& rng) : dims(attn.dims()) {
+    const std::size_t in_q = dims.node_dim + dims.time_dim;
+    const std::size_t in_kv = dims.node_dim + dims.edge_dim + dims.time_dim;
+    const std::size_t shapes[4][2] = {{in_q, dims.attn_dim},
+                                      {in_kv, dims.attn_dim},
+                                      {in_kv, dims.attn_dim},
+                                      {dims.attn_dim + dims.node_dim, dims.out_dim}};
+    auto params = attn.parameters();
+    for (std::size_t l = 0; l < 4; ++l) {
+      lin.push_back(std::make_unique<nn::Linear>("ref", shapes[l][0],
+                                                 shapes[l][1], rng));
+      lin[l]->weight().value = params[2 * l]->value;
+      lin[l]->bias().value = params[2 * l + 1]->value;
+    }
+    omega = params[8]->value;
+    phi = params[9]->value;
+  }
+
+  void encode(std::span<const float> dt, Matrix& out) const {
+    out.reset_shape(dt.size(), dims.time_dim);
+    for (std::size_t r = 0; r < dt.size(); ++r)
+      for (std::size_t c = 0; c < dims.time_dim; ++c)
+        out(r, c) = std::cos(dt[r] * omega(0, c) + phi(0, c));
+  }
+  void encode_backward(std::span<const float> dt, const Matrix& dy,
+                       std::size_t col0) {
+    for (std::size_t r = 0; r < dt.size(); ++r)
+      for (std::size_t c = 0; c < dims.time_dim; ++c) {
+        const float dphase =
+            -std::sin(dt[r] * omega(0, c) + phi(0, c)) * dy(r, col0 + c);
+        domega(0, c) += dphase * dt[r];
+        dphi(0, c) += dphase;
+      }
+  }
+
+  // Forward then backward; returns the output, fills the input grads and
+  // accumulates parameter grads (Linear grads + domega/dphi).
+  Matrix step(const Matrix& node, const Matrix& neigh, const Matrix& edge,
+              std::span<const float> dt, std::span<const std::size_t> valid,
+              const Matrix& dout, Matrix& dnode, Matrix& dneigh) {
+    const std::size_t n = node.rows(), K = dims.max_neighbors;
+    const std::size_t H = dims.num_heads, da = dims.attn_dim, dh = da / H;
+    const std::size_t dn = dims.node_dim;
+    domega = Matrix(1, dims.time_dim);
+    dphi = Matrix(1, dims.time_dim);
+    nn::Linear::Ctx qc, kc, vc, oc;
+    const std::vector<float> dt0(n, 0.0f);
+    Matrix phi0, phidt, q_in, kv_in, q, k, v, o_in, out;
+    encode(dt0, phi0);
+    concat_cols_into({&node, &phi0}, q_in);
+    lin[0]->forward_into(q_in, &qc, q);
+    encode(dt, phidt);
+    if (dims.edge_dim > 0) concat_cols_into({&neigh, &edge, &phidt}, kv_in);
+    else concat_cols_into({&neigh, &phidt}, kv_in);
+    lin[1]->forward_into(kv_in, &kc, k);
+    lin[2]->forward_into(kv_in, &vc, v);
+    std::vector<Matrix> alpha(H, Matrix(n, K));
+    Matrix scores(n, K), h_att(n, da);
+    for (std::size_t r = 0; r < n; ++r) {
+      const float scale = valid[r] == 0 ? 0.0f : 1.0f / std::sqrt(static_cast<float>(valid[r]));
+      for (std::size_t h = 0; h < H; ++h) {
+        const std::size_t off = h * dh;
+        for (std::size_t j = 0; j < valid[r]; ++j) {
+          float acc = 0.0f;
+          for (std::size_t c = 0; c < dh; ++c)
+            acc += q(r, off + c) * k(r * K + j, off + c);
+          scores(r, j) = acc * scale;
+        }
+        masked_softmax_row(scores.row_ptr(r), valid[r], K, alpha[h].row_ptr(r));
+        for (std::size_t j = 0; j < valid[r]; ++j)
+          for (std::size_t c = 0; c < dh; ++c)
+            h_att(r, off + c) += alpha[h](r, j) * v(r * K + j, off + c);
+      }
+    }
+    concat_cols_into({&h_att, &node}, o_in);
+    lin[3]->forward_into(o_in, &oc, out);
+    relu_inplace(out);
+
+    Matrix dpre, do_in, dq_in, dkv_in, dalpha, dscores;
+    relu_backward_into(out, dout, dpre);
+    lin[3]->backward_into(oc, dpre, do_in);
+    dnode = Matrix(n, dn);
+    for (std::size_t r = 0; r < n; ++r)
+      for (std::size_t c = 0; c < dn; ++c) dnode(r, c) += do_in(r, da + c);
+    Matrix dq(n, da), dk(n * K, da), dv(n * K, da);
+    const std::vector<std::size_t> valid_v(valid.begin(), valid.end());
+    for (std::size_t h = 0; h < H; ++h) {
+      const std::size_t off = h * dh;
+      dalpha.reset_shape(n, K);
+      for (std::size_t r = 0; r < n; ++r)
+        for (std::size_t j = 0; j < valid[r]; ++j) {
+          float acc = 0.0f;
+          for (std::size_t c = 0; c < dh; ++c) {
+            acc += do_in(r, off + c) * v(r * K + j, off + c);
+            dv(r * K + j, off + c) += alpha[h](r, j) * do_in(r, off + c);
+          }
+          dalpha(r, j) = acc;
+        }
+      masked_row_softmax_backward_into(alpha[h], dalpha, valid_v, dscores);
+      for (std::size_t r = 0; r < n; ++r) {
+        const float scale = valid[r] == 0 ? 0.0f : 1.0f / std::sqrt(static_cast<float>(valid[r]));
+        for (std::size_t j = 0; j < valid[r]; ++j) {
+          const float ds = dscores(r, j) * scale;
+          for (std::size_t c = 0; c < dh; ++c) {
+            dq(r, off + c) += ds * k(r * K + j, off + c);
+            dk(r * K + j, off + c) += ds * q(r, off + c);
+          }
+        }
+      }
+    }
+    lin[0]->backward_into(qc, dq, dq_in);
+    for (std::size_t r = 0; r < n; ++r)
+      for (std::size_t c = 0; c < dn; ++c) dnode(r, c) += dq_in(r, c);
+    encode_backward(dt0, dq_in, dn);
+    lin[1]->backward_into(kc, dk, dkv_in);
+    lin[2]->backward_into(vc, dv, dkv_in, /*accumulate_dx=*/true);
+    dkv_in.slice_cols_into(0, dn, dneigh);
+    encode_backward(dt, dkv_in, dn + dims.edge_dim);
+    return out;
+  }
+};
+
+void expect_attention_matches_reference(std::size_t edge_dim, std::size_t n,
+                                        ThreadPool* pool) {
+  SCOPED_TRACE("edge_dim " + std::to_string(edge_dim) + ", roots " +
+               std::to_string(n));
+  const std::size_t K = 10;
+  Rng rng(40 + edge_dim + n);
+  nn::AttentionDims dims{.node_dim = 8, .edge_dim = edge_dim, .time_dim = 4,
+                         .attn_dim = 8, .out_dim = 8, .num_heads = 2,
+                         .max_neighbors = K};
+  nn::TemporalAttention attn("a", dims, rng);
+  auto params = attn.parameters();
+  // Trained-looking time parameters (negative ω and φ included).
+  const float omega[] = {0.9f, -0.02f, 3.0e-4f, -1.5f};
+  const float phi[] = {0.3f, -0.0f, -2.0f, 0.0f};
+  for (std::size_t c = 0; c < 4; ++c) {
+    params[8]->value(0, c) = omega[c];
+    params[9]->value(0, c) = phi[c];
+  }
+  RefAttention ref(attn, rng);
+
+  Matrix node = random_matrix(n, 8, rng);
+  Matrix neigh = random_matrix(n * K, 8, rng);
+  Matrix edge = random_matrix(n * K, edge_dim, rng);
+  Matrix dout = random_matrix(n, 8, rng);
+  std::vector<std::size_t> valid(n);
+  std::vector<float> dt(n * K, 0.0f);  // padded slots keep Δt = +0
+  for (std::size_t r = 0; r < n; ++r) {
+    valid[r] = r % 4 == 1 ? 0 : K - r % 7;
+    for (std::size_t j = 0; j < valid[r]; ++j)
+      dt[r * K + j] = static_cast<float>(rng.uniform(0.0, 2.6e5));
+    for (std::size_t j = valid[r]; j < K; ++j)
+      for (std::size_t c = 0; c < 8; ++c) neigh(r * K + j, c) = 0.0f;
+  }
+
+  nn::TemporalAttention::Ctx ctx;
+  nn::TemporalAttention::InputGrads grads;
+  attn.zero_grad();
+  const Matrix out = attn.forward(node, neigh, edge, dt, valid, &ctx, pool);
+  attn.backward_into(ctx, dout, grads, pool);
+  Matrix dnode, dneigh;
+  const Matrix ref_out = ref.step(node, neigh, edge, dt, valid, dout, dnode, dneigh);
+
+  EXPECT_TRUE(bits_equal(out, ref_out)) << "output";
+  EXPECT_TRUE(bits_equal(grads.dnode_repr, dnode)) << "dnode_repr";
+  EXPECT_TRUE(bits_equal(grads.dneigh_repr, dneigh)) << "dneigh_repr";
+  for (std::size_t l = 0; l < 4; ++l) {
+    EXPECT_TRUE(bits_equal(params[2 * l]->grad, ref.lin[l]->weight().grad))
+        << params[2 * l]->name;
+    EXPECT_TRUE(bits_equal(params[2 * l + 1]->grad, ref.lin[l]->bias().grad))
+        << params[2 * l + 1]->name;
+  }
+  EXPECT_TRUE(bits_equal(params[8]->grad, ref.domega)) << "omega";
+  EXPECT_TRUE(bits_equal(params[9]->grad, ref.dphi)) << "phi";
+}
+
+// R·K rows around kernel::kGemmSmallFlops: both K/V halves on the small
+// path, halves small but [K | V] as wide as the blocked path takes, and
+// both blocked. At in = 12, an m x 8 x 12 half is small below 171 rows
+// and the m x 16 x 12 product below 86; at in = 16, 128 and 64.
+TEST(AttentionExact, FusedKVMatchesSeparateProjectionsNoEdgeFeatures) {
+  for (std::size_t n : {5, 9, 12, 17, 40}) expect_attention_matches_reference(0, n, nullptr);
+}
+
+TEST(AttentionExact, FusedKVMatchesSeparateProjectionsWithEdgeFeatures) {
+  for (std::size_t n : {3, 7, 10, 12, 30}) expect_attention_matches_reference(4, n, nullptr);
+}
+
+TEST(AttentionExact, FusedKVMatchesSeparateProjectionsPooled) {
+  ThreadPool pool(3);
+  for (std::size_t n : {12, 400}) {
+    expect_attention_matches_reference(0, n, &pool);
+    expect_attention_matches_reference(4, n, &pool);
+  }
+}
+
 
 }  // namespace
 }  // namespace disttgl
